@@ -1,34 +1,7 @@
-"""Kernel backend selection.
+"""Kernel backend name.
 
-The compiled Cython kernels are used when the extension built; otherwise
-the pure-Python twin takes over transparently.  Set WEYLALG_PURE_PYTHON=1
-to force the fallback (used by the benchmark and the kernel parity tests).
-The compiled kernels assume at most 64 generators; larger bases are routed
-to the pure-Python implementation per call site.
+The monomial kernels live in ``_kernels_py``, the one implementation.
+``KERNEL_BACKEND`` names it for environment records and reports.
 """
 
-from __future__ import annotations
-
-import os
-
-from . import _kernels_py
-
-if os.environ.get("WEYLALG_PURE_PYTHON") == "1":
-    _compiled = None
-else:
-    try:
-        from . import _kernels as _compiled  # type: ignore[attr-defined]
-    except ImportError:
-        _compiled = None
-
-kernels = _compiled if _compiled is not None else _kernels_py
-KERNEL_BACKEND = "cython" if _compiled is not None else "python"
-
-_COMPILED_MAX_DIM = 64
-
-
-def kernels_for(dimension: int):
-    """Kernel module appropriate for a basis of the given dimension."""
-    if _compiled is not None and dimension <= _COMPILED_MAX_DIM:
-        return _compiled
-    return _kernels_py
+KERNEL_BACKEND = "python"

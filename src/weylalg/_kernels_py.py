@@ -5,9 +5,6 @@ nonnegative integers (odd generators carry exponent 0 or 1).  ``odd_mask``
 is the bitmask of odd generator indices.  Koszul signs are returned as
 plain ints (+1/-1) multiplied into combinatorial multiplicities; scalar
 coefficient arithmetic stays with the caller.
-
-The compiled twin in ``_kernels.pyx`` exposes the same functions; results
-must be identical bit for bit.
 """
 
 from __future__ import annotations
@@ -20,10 +17,6 @@ def parity_of(e, odd_mask):
         if k and (odd_mask >> i) & 1:
             n += 1
     return n & 1
-
-
-def degree_of(e):
-    return sum(e)
 
 
 def mul_exps(e1, e2, odd_mask):
@@ -52,82 +45,6 @@ def mul_exps(e1, e2, odd_mask):
         m &= m - 1
     out = tuple(a + b for a, b in zip(e1, e2))
     return out, (-1 if swaps & 1 else 1)
-
-
-def contract_pair(eA, eB, pairs, odd_mask):
-    """One contraction step on a monomial pair.
-
-    ``pairs`` lists the index pairs (i, j) carrying a nonzero form entry.
-    Yields tuples ``(i, j, weight, eA2, eB2)`` where ``weight`` is the
-    signed multiplicity: the number of ways to pick the contracted slots,
-    times the Koszul sign of moving the left slot to the end of the left
-    word and the right slot to the front of the right word.
-    """
-    out = []
-    for i, j in pairs:
-        ka = eA[i]
-        if not ka:
-            continue
-        kb = eB[j]
-        if not kb:
-            continue
-        if (odd_mask >> i) & 1:
-            sa = 0
-            for x in range(i + 1, len(eA)):
-                if eA[x] and (odd_mask >> x) & 1:
-                    sa += 1
-            sb = 0
-            for x in range(j):
-                if eB[x] and (odd_mask >> x) & 1:
-                    sb += 1
-            weight = -1 if (sa + sb) & 1 else 1
-        else:
-            weight = ka * kb
-        eA2 = eA[:i] + (ka - 1,) + eA[i + 1 :]
-        eB2 = eB[:j] + (kb - 1,) + eB[j + 1 :]
-        out.append((i, j, weight, eA2, eB2))
-    return out
-
-
-def laplace_terms(e, pairs, odd_mask):
-    """One second-order contraction on a single monomial.
-
-    ``pairs`` lists index pairs (i, j) with i <= j carrying a nonzero
-    symmetric-form entry.  Yields ``(i, j, weight, e2)`` with the signed
-    multiplicity of removing one copy of each of the two slots.
-    """
-    out = []
-    for i, j in pairs:
-        ki = e[i]
-        if not ki:
-            continue
-        if i == j:
-            if (odd_mask >> i) & 1 or ki < 2:
-                continue
-            weight = ki * (ki - 1) // 2
-            e2 = e[:i] + (ki - 2,) + e[i + 1 :]
-        else:
-            kj = e[j]
-            if not kj:
-                continue
-            if (odd_mask >> i) & 1:
-                below_i = 0
-                for x in range(i):
-                    if e[x] and (odd_mask >> x) & 1:
-                        below_i += 1
-                below_j = 0
-                for x in range(j):
-                    if e[x] and (odd_mask >> x) & 1:
-                        below_j += 1
-                weight = -1 if (below_i + below_j - 1) & 1 else 1
-            else:
-                weight = ki * kj
-            e2 = list(e)
-            e2[i] = ki - 1
-            e2[j] = kj - 1
-            e2 = tuple(e2)
-        out.append((i, j, weight, e2))
-    return out
 
 
 def mul_terms(t1, t2, odd_mask):

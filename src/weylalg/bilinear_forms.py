@@ -16,11 +16,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from . import _kernels_py as K
 from . import scalars
-from ._backend import kernels_for
 from .basis import GeneratorBasis, require_same_basis
 from .errors import BackendMismatchError, BasisMismatchError, DomainError, ParityBlockError
-from .graded_poly import Element
+from .graded_poly import Element, _accumulate
 
 
 class BilinearForm:
@@ -226,19 +226,19 @@ class TensorPair:
         terms = {}
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
-                _acc_pair(terms, (e1, e2), c1 * c2)
+                _accumulate(terms, (e1, e2), c1 * c2)
         return cls(a.basis, a.backend, terms)
 
     def __add__(self, other):
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            _acc_pair(terms, k, c)
+            _accumulate(terms, k, c)
         return TensorPair(self.basis, self.backend, terms)
 
     def __sub__(self, other):
         terms = dict(self.terms)
         for k, c in other.terms.items():
-            _acc_pair(terms, k, -c)
+            _accumulate(terms, k, -c)
         return TensorPair(self.basis, self.backend, terms)
 
     def scale(self, value):
@@ -250,23 +250,20 @@ class TensorPair:
 
     def flip(self):
         """Graded flip tau: a (x) b -> (-1)^{|a||b|} b (x) a."""
-        K = kernels_for(self.basis.dimension)
         mask = self.basis.odd_mask
         terms = {}
         for (e1, e2), c in self.terms.items():
             sign = K.parity_of(e1, mask) and K.parity_of(e2, mask)
-            _acc_pair(terms, (e2, e1), -c if sign else c)
+            _accumulate(terms, (e2, e1), -c if sign else c)
         return TensorPair(self.basis, self.backend, terms)
 
     def multiply(self) -> Element:
         """Apply the product map mu to every summand."""
-        K = kernels_for(self.basis.dimension)
         terms = K.mu_terms(self.terms, self.basis.odd_mask)
         return Element(self.basis, self.backend, terms)
 
     def pair_product(self, other):
         """Graded algebra product on the tensor square."""
-        K = kernels_for(self.basis.dimension)
         mask = self.basis.odd_mask
         terms = {}
         for (a1, b1), c1 in self.terms.items():
@@ -282,7 +279,7 @@ class TensorPair:
                 (ea, sa), (eb, sb) = left, right
                 sign = sa * sb * (-1 if (pb1 and pa2) else 1)
                 c = c1 * c2
-                _acc_pair(terms, (ea, eb), -c if sign < 0 else c)
+                _accumulate(terms, (ea, eb), -c if sign < 0 else c)
         return TensorPair(self.basis, self.backend, terms)
 
     def __eq__(self, other):
@@ -301,19 +298,6 @@ class TensorPair:
         return f"TensorPair({self.terms!r})"
 
 
-def _acc_pair(terms, key, c):
-    prev = terms.get(key)
-    if prev is None:
-        if not scalars.is_zero(c):
-            terms[key] = c
-        return
-    s = prev + c
-    if scalars.is_zero(s):
-        del terms[key]
-    else:
-        terms[key] = s
-
-
 def p_lambda(u: TensorPair, form: BilinearForm) -> TensorPair:
     """One contraction step: pair one slot of each leg through the form.
 
@@ -325,7 +309,6 @@ def p_lambda(u: TensorPair, form: BilinearForm) -> TensorPair:
         raise BasisMismatchError("tensor pair and form over different bases")
     if u.backend != form.backend:
         raise BackendMismatchError("tensor pair and form with different backends")
-    K = kernels_for(u.basis.dimension)
     terms = K.contract_terms(u.terms, form._entries, u.basis.odd_mask)
     return TensorPair(u.basis, u.backend, terms)
 
@@ -354,7 +337,6 @@ def delta_g(a: Element, g: BilinearForm) -> Element:
         raise BackendMismatchError("element and form with different backends")
     if not g.is_graded_symmetric():
         raise DomainError("the form must be graded-symmetric")
-    K = kernels_for(a.basis.dimension)
     entries = tuple((i, j, g.matrix[i][j]) for (i, j) in g.pairs() if i <= j)
     terms = K.laplace_bulk(a.terms, entries, a.basis.odd_mask)
     return Element(a.basis, a.backend, terms)

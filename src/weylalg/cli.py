@@ -204,14 +204,26 @@ def cmd_star(args) -> int:
     return EXIT_OK
 
 
+def _rational_flag(flag, text) -> Fraction:
+    """An exact rational flag value such as "2", "2/5" or "0.25"."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(flag, f"not a rational number: {text!r}") from None
+
+
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
+    if args.trials < 1:
+        raise SchemaError("--trials", "need at least one trial")
+    R = _rational_flag("--R", args.R)
+    zmag = _rational_flag("--zmag", args.zmag)
     kwargs = {}
     estimate_suite = args.suite in ("product-estimate", "bracket-estimate")
     if args.suite == "product-estimate":
-        kwargs = {"R": Fraction(args.R), "zmag": Fraction(args.zmag)}
+        kwargs = {"R": R, "zmag": zmag}
     elif args.suite == "bracket-estimate":
-        kwargs = {"R": Fraction(args.R)}
+        kwargs = {"R": R}
     if args.format == "csv":
         if not estimate_suite:
             raise SchemaError("--format", "csv output exists for estimate suites only")
@@ -231,8 +243,8 @@ def cmd_kothe(args) -> int:
     from .seminorm_calculus import WeightedSeminorm, kothe_matrix, nuclearity_diagnostic
     from .basis import GeneratorBasis
 
-    R = Fraction(args.R)
-    eps = Fraction(args.eps)
+    R = _rational_flag("--R", args.R)
+    eps = _rational_flag("--eps", args.eps)
     if eps <= 0 or args.n_max < 0:
         raise SchemaError("eps/n-max", "need eps > 0 and n-max >= 0")
     basis = GeneratorBasis(("x",), ("even",))
@@ -342,8 +354,8 @@ def cmd_divergence(args) -> int:
 def cmd_peierls(args) -> int:
     if args.T < 3 or args.N < 3:
         raise SchemaError("T/N", "lattice bounds leave no interior margin")
-    st = LatticeSpacetime(args.T, args.N, Fraction(args.m2))
-    scale = Fraction(args.scale)
+    st = LatticeSpacetime(args.T, args.N, _rational_flag("--m2", args.m2))
+    scale = _rational_flag("--scale", args.scale)
     if args.scenario == "locality":
         report = _peierls_locality(st, scale)
     elif args.scenario == "poisson-iso":

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 
 from . import scalars
-from ._backend import kernels_for
+from . import _kernels_py as K
 from .basis import GeneratorBasis, require_same_basis
 from .errors import DomainError
 
@@ -165,7 +165,6 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         require_same_basis(self, other)
-        K = kernels_for(self.basis.dimension)
         terms = K.mul_terms(self.terms, other.terms, self.basis.odd_mask)
         return Element(self.basis, self.backend, terms)
 
@@ -221,7 +220,6 @@ class Element:
         }
 
     def parity_split(self):
-        K = kernels_for(self.basis.dimension)
         even, odd = {}, {}
         for e, c in self.terms.items():
             (odd if K.parity_of(e, self.basis.odd_mask) else even)[e] = c
@@ -305,17 +303,18 @@ class Element:
         return " + ".join(bits)
 
 
-def _accumulate(terms, e, c):
-    prev = terms.get(e)
+def _accumulate(terms, key, c):
+    """Add ``c`` to ``terms[key]`` in place, never storing a zero."""
+    prev = terms.get(key)
     if prev is None:
         if not scalars.is_zero(c):
-            terms[e] = c
+            terms[key] = c
         return
     s = prev + c
     if scalars.is_zero(s):
-        del terms[e]
+        del terms[key]
     else:
-        terms[e] = s
+        terms[key] = s
 
 
 def _distinct_permutations(items):

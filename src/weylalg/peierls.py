@@ -71,12 +71,6 @@ class LatticeSection:
     def support(self):
         return set(self.values)
 
-    def time_range(self):
-        if not self.values:
-            return None
-        ts = [t for t, _ in self.values]
-        return min(ts), max(ts)
-
     def __eq__(self, other):
         if not isinstance(other, LatticeSection):
             return NotImplemented

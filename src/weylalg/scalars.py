@@ -233,16 +233,3 @@ def mul_rat(backend: str, x, q):
     if backend == "exact":
         return x * _RATIO(q)
     return x * float(Fraction(q))
-
-
-def parse_rational(text) -> Fraction:
-    """Parse "num/den" (or "num") decimal strings into a Fraction."""
-    if isinstance(text, (int, Fraction)):
-        return Fraction(text)
-    if isinstance(text, str):
-        return Fraction(text)
-    raise ValueError(f"not an exact rational literal: {text!r}")
-
-
-def format_rational(q) -> str:
-    return str(q)

@@ -22,8 +22,8 @@ from fractions import Fraction
 from . import scalars
 from .basis import require_same_basis
 from .bilinear_forms import BilinearForm, TensorPair, delta_g, lambda_parts, p_lambda
-from .errors import DomainError, ParityBlockError
-from .graded_poly import Element
+from .errors import BasisMismatchError, DomainError, ParityBlockError
+from .graded_poly import Element, _accumulate
 
 
 def star(a: Element, b: Element, z, form: BilinearForm) -> Element:
@@ -34,7 +34,7 @@ def star(a: Element, b: Element, z, form: BilinearForm) -> Element:
     """
     require_same_basis(a, b)
     if a.basis != form.basis:
-        raise ParityBlockError("form over a different basis")
+        raise BasisMismatchError("form over a different basis")
     if not isinstance(z, (scalars.QC, complex)):
         z = scalars.from_rational(a.backend, z)
     out = Element.zero(a.basis, a.backend)
@@ -146,12 +146,7 @@ def translate(a: Element, phi) -> Element:
                     )
             expansion = new_expansion
         for ee, cc in expansion.items():
-            prev = out.terms.get(ee)
-            s = cc if prev is None else prev + cc
-            if scalars.is_zero(s):
-                out.terms.pop(ee, None)
-            else:
-                out.terms[ee] = s
+            _accumulate(out.terms, ee, cc)
     return out
 
 
@@ -188,14 +183,8 @@ def derivation_X(a: Element, phi) -> Element:
                 weight = -1 if below & 1 else 1
             else:
                 weight = k
-            contrib = c * v * weight
             e2 = e[:i] + (k - 1,) + e[i + 1 :]
-            prev = out.terms.get(e2)
-            s = contrib if prev is None else prev + contrib
-            if scalars.is_zero(s):
-                out.terms.pop(e2, None)
-            else:
-                out.terms[e2] = s
+            _accumulate(out.terms, e2, c * v * weight)
     return out
 
 

@@ -21,6 +21,7 @@ from weylalg import (
     p_lambda_power,
     sharp,
 )
+from weylalg._kernels_py import parity_of
 from weylalg.bilinear_forms import transpose_graded
 from weylalg.randoms import (
     default_basis,
@@ -226,12 +227,9 @@ def _p23(triple, form):
 
 
 def _flip23(triple):
-    from weylalg._backend import kernels_for
-
-    K = kernels_for(B.dimension)
     out = {}
     for (e1, e2, e3), coeff in triple.items():
-        sign = K.parity_of(e2, B.odd_mask) and K.parity_of(e3, B.odd_mask)
+        sign = parity_of(e2, B.odd_mask) and parity_of(e3, B.odd_mask)
         key = (e1, e3, e2)
         v = -coeff if sign else coeff
         prev = out.get(key)

@@ -289,3 +289,22 @@ def test_cmd_peierls(capsys, monkeypatch):
         ["peierls", "locality", "--T", "2", "--N", "8"], None, capsys, monkeypatch
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "product-estimate", "--R", "abc"],
+        ["verify", "product-estimate", "--zmag", "x"],
+        ["verify", "associativity", "--trials", "-5"],
+        ["kothe", "--R", "x"],
+        ["kothe", "--eps", "x"],
+        ["peierls", "weyl-gram", "--m2", "x"],
+        ["peierls", "weyl-gram", "--scale", "x"],
+    ],
+)
+def test_malformed_flags_are_input_errors(args, capsys, monkeypatch):
+    code, out, err = run_cli(args, None, capsys, monkeypatch)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1

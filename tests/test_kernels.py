@@ -1,28 +1,13 @@
-"""Kernel backend parity and Koszul-sign cross-checks."""
+"""Monomial kernels and Koszul-sign cross-checks."""
 
 import itertools
-import random
-
-import pytest
 
 from weylalg import _kernels_py
-from weylalg._backend import KERNEL_BACKEND, kernels
 from weylalg.basis import GeneratorBasis
 
 from oracles import sign_by_transpositions, sign_formula
 
 BASIS = GeneratorBasis(("q", "p", "e1", "e2"), ("even", "even", "odd", "odd"))
-
-
-def random_exps(rng, max_deg=4):
-    e = [0, 0, 0, 0]
-    for _ in range(rng.randint(0, max_deg)):
-        i = rng.randrange(4)
-        if BASIS.is_even(i):
-            e[i] += 1
-        else:
-            e[i] = 1
-    return tuple(e)
 
 
 def test_sign_formula_matches_transpositions():
@@ -45,65 +30,6 @@ def test_sign_formula_special_cases():
                 if perm[i] > perm[j]:
                     parity = -parity
         assert sign_formula((1, 1, 1, 1), sigma) == parity
-
-
-@pytest.mark.skipif(KERNEL_BACKEND != "cython", reason="compiled kernels not built")
-def test_compiled_and_python_kernels_agree():
-    rng = random.Random(11)
-    mask = BASIS.odd_mask
-    pairs = tuple((i, j) for i in range(4) for j in range(4))
-    le_pairs = tuple((i, j) for i in range(4) for j in range(i, 4))
-    for _ in range(500):
-        e1, e2 = random_exps(rng), random_exps(rng)
-        assert kernels.mul_exps(e1, e2, mask) == _kernels_py.mul_exps(e1, e2, mask)
-        assert kernels.parity_of(e1, mask) == _kernels_py.parity_of(e1, mask)
-        assert kernels.contract_pair(e1, e2, pairs, mask) == _kernels_py.contract_pair(
-            e1, e2, pairs, mask
-        )
-        assert kernels.laplace_terms(e1, le_pairs, mask) == _kernels_py.laplace_terms(
-            e1, le_pairs, mask
-        )
-
-
-@pytest.mark.skipif(KERNEL_BACKEND != "cython", reason="compiled kernels not built")
-def test_compiled_bulk_kernels_agree():
-    from fractions import Fraction
-
-    from weylalg.scalars import QC
-
-    rng = random.Random(13)
-    mask = BASIS.odd_mask
-
-    def random_terms(n):
-        out = {}
-        for _ in range(n):
-            out[random_exps(rng)] = QC(Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
-        return {k: v for k, v in out.items() if v}
-
-    entries = tuple(
-        (i, j, QC(rng.randint(-2, 2)))
-        for i in range(4)
-        for j in range(4)
-        if BASIS.parities[i] == BASIS.parities[j]
-    )
-    le_entries = tuple((i, j, c) for (i, j, c) in entries if i <= j)
-    for _ in range(200):
-        t1, t2 = random_terms(3), random_terms(3)
-        assert kernels.mul_terms(t1, t2, mask) == _kernels_py.mul_terms(t1, t2, mask)
-        pair_terms = {
-            (e1, e2): c1 * c2
-            for e1, c1 in t1.items()
-            for e2, c2 in t2.items()
-        }
-        assert kernels.mu_terms(pair_terms, mask) == _kernels_py.mu_terms(
-            pair_terms, mask
-        )
-        assert kernels.contract_terms(
-            pair_terms, entries, mask
-        ) == _kernels_py.contract_terms(pair_terms, entries, mask)
-        assert kernels.laplace_bulk(t1, le_entries, mask) == _kernels_py.laplace_bulk(
-            t1, le_entries, mask
-        )
 
 
 def test_mul_exps_odd_collision_and_sign():

@@ -58,14 +58,20 @@ def test_p_R_examples():
 
 def test_p_R_inf_sandwich_and_monotonicity():
     rng = random.Random(5)
+    weight_rng = random.Random(6)
     for _ in range(20):
         a = random_element(rng, B, max_degree=5, n_terms=4)
-        for R in (0.0, 0.5, 1.0, 1.5):
-            lo = p_R_inf(a, UNIT, R)
-            mid = p_R(a, UNIT, R)
-            hi = 2 * p_R_inf(a, WeightedSeminorm(B, {n: 2 for n in B.names}), R)
-            assert lo <= mid * (1 + 1e-12)
-            assert mid <= hi * (1 + 1e-12)
+        weighted = WeightedSeminorm(
+            B,
+            {n: Fraction(weight_rng.randint(1, 9), weight_rng.randint(1, 4)) for n in B.names},
+        )
+        for p in (UNIT, weighted):
+            for R in (0.0, 0.5, 1.0, 1.5):
+                lo = p_R_inf(a, p, R)
+                mid = p_R(a, p, R)
+                hi = 2 * p_R_inf(a, p.scaled(2), R)
+                assert lo <= mid * (1 + 1e-12)
+                assert mid <= hi * (1 + 1e-12)
         assert p_R(a, UNIT, 0.5) <= p_R(a, UNIT, 1.0) * (1 + 1e-12)
         assert p_R(a, UNIT, 1.0) <= p_R(a, UNIT, 1.5) * (1 + 1e-12)
 

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from weylalg import (
+    BasisMismatchError,
     BilinearForm,
     DomainError,
     Element,
@@ -56,6 +57,13 @@ def test_star_examples():
         + ONE.scale(z * z * 2)
     )
     assert star(P * P, Q * Q, z, STD) == expected
+
+
+def test_star_rejects_form_over_other_basis():
+    other = GeneratorBasis(("x", "y"), ("even", "even"))
+    form = BilinearForm.from_entries(other, {("x", "y"): 1})
+    with pytest.raises(BasisMismatchError):
+        star(Q, P, 1, form)
 
 
 def test_star_unital_and_graded():
