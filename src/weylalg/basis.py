@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .errors import BasisMismatchError, DomainError
+from .errors import BackendMismatchError, BasisMismatchError, DomainError
 
 EVEN = 0
 ODD = 1
@@ -88,8 +88,6 @@ def require_same_basis(a, b):
     if a.basis != b.basis:
         raise BasisMismatchError("operands live over different generator bases")
     if a.backend != b.backend:
-        from .errors import BackendMismatchError
-
         raise BackendMismatchError(
             f"scalar backends differ: {a.backend} vs {b.backend}"
         )

@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import _kernels_py as K
 from . import scalars
 from .basis import GeneratorBasis, require_same_basis
-from .errors import BackendMismatchError, BasisMismatchError, DomainError, ParityBlockError
+from .errors import BasisMismatchError, DomainError, ParityBlockError
 from .graded_poly import Element, _accumulate
 
 
@@ -36,7 +36,7 @@ class BilinearForm:
         for i in range(d):
             for j in range(d):
                 c = rows[i][j]
-                if not scalars.is_zero(c) and basis.parity(i) != basis.parity(j):
+                if c and basis.parity(i) != basis.parity(j):
                     raise ParityBlockError(
                         f"entry ({basis.names[i]}, {basis.names[j]}) pairs "
                         "generators of different parity"
@@ -48,7 +48,7 @@ class BilinearForm:
             (i, j)
             for i in range(d)
             for j in range(d)
-            if not scalars.is_zero(rows[i][j])
+            if rows[i][j]
         )
         self._entries = tuple((i, j, self.matrix[i][j]) for i, j in self._pairs)
 
@@ -64,9 +64,7 @@ class BilinearForm:
         d = basis.dimension
         rows = [[scalars.zero(backend) for _ in range(d)] for _ in range(d)]
         for (ni, nj), v in entries.items():
-            if not isinstance(v, (scalars.QC, complex)):
-                v = scalars.from_rational(backend, v)
-            rows[basis.index(ni)][basis.index(nj)] = v
+            rows[basis.index(ni)][basis.index(nj)] = scalars.coerce(backend, v)
         return cls(basis, rows, backend)
 
     def entry(self, i: int, j: int):
@@ -106,7 +104,7 @@ class BilinearForm:
         )
 
     def __add__(self, other):
-        _require_compatible(self, other)
+        require_same_basis(self, other)
         d = self.basis.dimension
         return BilinearForm(
             self.basis,
@@ -118,7 +116,7 @@ class BilinearForm:
         )
 
     def __sub__(self, other):
-        _require_compatible(self, other)
+        require_same_basis(self, other)
         d = self.basis.dimension
         return BilinearForm(
             self.basis,
@@ -142,7 +140,7 @@ class BilinearForm:
         d = self.basis.dimension
         return BilinearForm(
             self.basis,
-            [[scalars.conj(self.matrix[i][j]) for j in range(d)] for i in range(d)],
+            [[self.matrix[i][j].conjugate() for j in range(d)] for i in range(d)],
             self.backend,
         )
 
@@ -160,13 +158,6 @@ class BilinearForm:
 
     def __repr__(self):
         return f"BilinearForm({self.matrix!r})"
-
-
-def _require_compatible(x, y):
-    if x.basis != y.basis:
-        raise BasisMismatchError("forms over different bases")
-    if x.backend != y.backend:
-        raise BackendMismatchError("forms with different scalar backends")
 
 
 def transpose_graded(form: BilinearForm) -> BilinearForm:
@@ -242,7 +233,7 @@ class TensorPair:
         return TensorPair(self.basis, self.backend, terms)
 
     def scale(self, value):
-        if scalars.is_zero(value):
+        if not value:
             return TensorPair(self.basis, self.backend, {})
         return TensorPair(
             self.basis, self.backend, {k: c * value for k, c in self.terms.items()}
@@ -305,10 +296,7 @@ def p_lambda(u: TensorPair, form: BilinearForm) -> TensorPair:
     Leibniz rules extend it to all of Sym (x) Sym.  Kills 1 (x) b and
     a (x) 1.
     """
-    if u.basis != form.basis:
-        raise BasisMismatchError("tensor pair and form over different bases")
-    if u.backend != form.backend:
-        raise BackendMismatchError("tensor pair and form with different backends")
+    require_same_basis(u, form)
     terms = K.contract_terms(u.terms, form._entries, u.basis.odd_mask)
     return TensorPair(u.basis, u.backend, terms)
 
@@ -331,10 +319,7 @@ def delta_g(a: Element, g: BilinearForm) -> Element:
     Satisfies delta(ab) = delta(a) b + mu(P_g(a (x) b)) + a delta(b) and
     lowers the tensor degree by two.
     """
-    if a.basis != g.basis:
-        raise BasisMismatchError("element and form over different bases")
-    if a.backend != g.backend:
-        raise BackendMismatchError("element and form with different backends")
+    require_same_basis(a, g)
     if not g.is_graded_symmetric():
         raise DomainError("the form must be graded-symmetric")
     entries = tuple((i, j, g.matrix[i][j]) for (i, j) in g.pairs() if i <= j)
@@ -376,18 +361,18 @@ def is_poisson_map(A, form_v: BilinearForm, form_w: BilinearForm) -> bool:
         raise DomainError("map matrix has wrong shape")
     for r in range(bw.dimension):
         for c in range(bv.dimension):
-            if not scalars.is_zero(rows[r][c]) and bw.parity(r) != bv.parity(c):
+            if rows[r][c] and bw.parity(r) != bv.parity(c):
                 raise ParityBlockError("the linear map does not preserve parity")
     for c1 in range(bv.dimension):
         for c2 in range(bv.dimension):
             total = scalars.zero(form_v.backend)
             for r1 in range(bw.dimension):
                 a1 = rows[r1][c1]
-                if scalars.is_zero(a1):
+                if not a1:
                     continue
                 for r2 in range(bw.dimension):
                     a2 = rows[r2][c2]
-                    if scalars.is_zero(a2):
+                    if not a2:
                         continue
                     total = total + a1 * a2 * form_w.matrix[r1][r2]
             if total != form_v.matrix[c1][c2]:
@@ -445,7 +430,7 @@ def normal_form(form: BilinearForm) -> NormalFormResult:
             if isinstance(c, scalars.QC):
                 if c.im != 0:
                     raise DomainError("normal_form is defined for real exact input")
-                M[i][j] = scalars.to_fraction(c.re)
+                M[i][j] = c.re
             elif isinstance(c, complex):
                 raise DomainError("normal_form requires the exact backend")
             else:

@@ -16,7 +16,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 
 from . import jsonio
 from .errors import (
@@ -63,9 +62,6 @@ def main(argv=None) -> int:
     except WeylalgError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    except json.JSONDecodeError as exc:
-        print(f"input error: invalid JSON: {exc}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def _build_parser():
@@ -150,7 +146,10 @@ def _read_input(args):
     else:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
-    return json.loads(text)
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # malformed, or an integer past the int-str limit
+        raise SchemaError("--input", f"invalid JSON: {exc}") from None
 
 
 def _write_output(args, text: str):
@@ -204,20 +203,12 @@ def cmd_star(args) -> int:
     return EXIT_OK
 
 
-def _rational_flag(flag, text) -> Fraction:
-    """An exact rational flag value such as "2", "2/5" or "0.25"."""
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(flag, f"not a rational number: {text!r}") from None
-
-
 def cmd_verify(args) -> int:
     suite = SUITES[args.suite]
     if args.trials < 1:
         raise SchemaError("--trials", "need at least one trial")
-    R = _rational_flag("--R", args.R)
-    zmag = _rational_flag("--zmag", args.zmag)
+    R = jsonio.rational_from_json(args.R, "--R")
+    zmag = jsonio.rational_from_json(args.zmag, "--zmag")
     kwargs = {}
     estimate_suite = args.suite in ("product-estimate", "bracket-estimate")
     if args.suite == "product-estimate":
@@ -243,8 +234,8 @@ def cmd_kothe(args) -> int:
     from .seminorm_calculus import WeightedSeminorm, kothe_matrix, nuclearity_diagnostic
     from .basis import GeneratorBasis
 
-    R = _rational_flag("--R", args.R)
-    eps = _rational_flag("--eps", args.eps)
+    R = jsonio.rational_from_json(args.R, "--R")
+    eps = jsonio.rational_from_json(args.eps, "--eps")
     if eps <= 0 or args.n_max < 0:
         raise SchemaError("eps/n-max", "need eps > 0 and n-max >= 0")
     basis = GeneratorBasis(("x",), ("even",))
@@ -354,8 +345,8 @@ def cmd_divergence(args) -> int:
 def cmd_peierls(args) -> int:
     if args.T < 3 or args.N < 3:
         raise SchemaError("T/N", "lattice bounds leave no interior margin")
-    st = LatticeSpacetime(args.T, args.N, _rational_flag("--m2", args.m2))
-    scale = _rational_flag("--scale", args.scale)
+    st = LatticeSpacetime(args.T, args.N, jsonio.rational_from_json(args.m2, "--m2"))
+    scale = jsonio.rational_from_json(args.scale, "--scale")
     if args.scenario == "locality":
         report = _peierls_locality(st, scale)
     elif args.scenario == "poisson-iso":

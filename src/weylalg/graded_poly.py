@@ -111,7 +111,7 @@ class Element:
     @classmethod
     def scalar(cls, basis, value, backend="exact"):
         out = cls.zero(basis, backend)
-        if not scalars.is_zero(value):
+        if value:
             out.terms[(0,) * basis.dimension] = value
         return out
 
@@ -153,9 +153,8 @@ class Element:
         )
 
     def scale(self, value):
-        if not isinstance(value, (scalars.QC, complex)):
-            value = scalars.from_rational(self.backend, value)
-        if scalars.is_zero(value):
+        value = scalars.coerce(self.backend, value)
+        if not value:
             return Element.zero(self.basis, self.backend)
         return Element(
             self.basis, self.backend, {e: c * value for e, c in self.terms.items()}
@@ -239,7 +238,7 @@ class Element:
         return Element(
             self.basis,
             self.backend,
-            {e: scalars.conj(c) for e, c in self.terms.items()},
+            {e: c.conjugate() for e, c in self.terms.items()},
         )
 
     def evaluate(self, point):
@@ -307,11 +306,11 @@ def _accumulate(terms, key, c):
     """Add ``c`` to ``terms[key]`` in place, never storing a zero."""
     prev = terms.get(key)
     if prev is None:
-        if not scalars.is_zero(c):
+        if c:
             terms[key] = c
         return
     s = prev + c
-    if scalars.is_zero(s):
+    if not s:
         del terms[key]
     else:
         terms[key] = s

@@ -27,12 +27,42 @@ from .peierls import LatticeSection
 from .seminorm_calculus import WeightedSeminorm
 
 
+# Caps on an exact literal, checked before Fraction sees it: parsing costs
+# more than linear time in both, and a value of more than 4300 digits
+# cannot be printed back.
+RATIONAL_MAX_DIGITS = 1000
+RATIONAL_MAX_EXPONENT = 1000
+
+
 class SchemaError(DomainError):
     """Malformed input document; carries a path-qualified message."""
 
     def __init__(self, path, message):
         super().__init__(f"{path}: {message}")
         self.path = path
+
+
+def rational_from_json(value, path) -> Fraction:
+    """An exact rational from a literal such as 2, "2/5", "0.25" or "1e-3"."""
+    text = str(value)
+    exponent = text.lower().partition("e")[2]
+    try:
+        too_big = (
+            sum(map(str.isdigit, text)) > RATIONAL_MAX_DIGITS
+            or abs(int(exponent or 0)) > RATIONAL_MAX_EXPONENT
+        )
+    except ValueError:  # a malformed exponent; Fraction rejects the literal
+        too_big = False
+    if too_big:
+        raise SchemaError(
+            path,
+            f"rational literals are limited to {RATIONAL_MAX_DIGITS} digits "
+            f"and exponents of magnitude {RATIONAL_MAX_EXPONENT}",
+        )
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(path, f"not a rational number: {value!r}") from None
 
 
 def _expect(cond, path, message):
@@ -78,10 +108,7 @@ def scalar_from_json(doc, backend, path="coeff"):
     re = doc.get("re", 0)
     im = doc.get("im", 0)
     if backend == "exact":
-        try:
-            return scalars.QC(Fraction(str(re)), Fraction(str(im)))
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(path, f"not an exact rational: {re!r}/{im!r}") from None
+        return scalars.QC(rational_from_json(re, path), rational_from_json(im, path))
     try:
         return complex(float(re), float(im))
     except (TypeError, ValueError):
@@ -184,10 +211,10 @@ def seminorm_from_json(doc, basis, path="seminorm"):
     _expect(isinstance(doc, dict), path, "must be an object")
     weights = doc.get("weights", doc)
     _expect(isinstance(weights, dict), f"{path}.weights", "must be an object")
+    parsed = {k: rational_from_json(v, f"{path}.{k}") for k, v in weights.items()}
     try:
-        parsed = {k: Fraction(str(v)) for k, v in weights.items()}
         return WeightedSeminorm(basis, parsed)
-    except (ValueError, ZeroDivisionError, DomainError) as exc:
+    except DomainError as exc:
         raise SchemaError(path, str(exc)) from None
 
 
@@ -204,9 +231,10 @@ def section_from_json(doc, path="section"):
     for key, v in doc.items():
         try:
             t, x = key.split(",")
-            vals[(int(t), int(x))] = Fraction(str(v))
-        except (ValueError, ZeroDivisionError):
-            raise SchemaError(f"{path}.{key}", "bad site or value") from None
+            site = (int(t), int(x))
+        except ValueError:
+            raise SchemaError(f"{path}.{key}", "bad site") from None
+        vals[site] = rational_from_json(v, f"{path}.{key}")
     return LatticeSection(vals)
 
 

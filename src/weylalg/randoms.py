@@ -54,7 +54,7 @@ def random_element(
     for _ in range(n_terms):
         e = random_monomial(rng, basis, max_degree)
         c = random_scalar(rng, backend, complex_parts)
-        out = out + Element(basis, backend, {e: c} if not scalars.is_zero(c) else {})
+        out = out + Element(basis, backend, {e: c} if c else {})
     return out
 
 
@@ -96,7 +96,7 @@ def random_involutive_form(rng, basis, holds: bool) -> BilinearForm:
     while True:
         bad = random_graded_symmetric_form(rng, basis)
         if any(
-            not scalars.is_zero(bad.matrix[i][j])
+            bad.matrix[i][j]
             for i in range(basis.dimension)
             for j in range(basis.dimension)
         ):
@@ -127,6 +127,6 @@ def random_degree_one_even(rng, basis, backend="exact") -> Element:
     while not out:
         for i in basis.even_indices():
             c = random_scalar(rng, backend)
-            if not scalars.is_zero(c):
+            if c:
                 out = out + Element.generator(basis, basis.names[i], backend).scale(c)
     return out

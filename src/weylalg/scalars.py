@@ -8,9 +8,12 @@ Two coefficient backends are supported throughout the package:
 * ``"float"`` -- ordinary Python ``complex`` (binary64 pairs).  Round-off
   applies; numeric comparisons use relative tolerances.
 
-The rational parts use gmpy2.mpq when that package is importable and
-fall back to fractions.Fraction otherwise; both are exact and the two
-representations compare and hash equal for equal values.
+The rational parts are :class:`fractions.Fraction`.  Scalars of both
+backends support ``.conjugate()``, ``abs()``, ``complex()`` and truth
+testing, so callers use those directly.  What depends on the backend
+lives here: :func:`coerce` and :func:`from_rational` build a scalar of a
+backend from a rational, :func:`mul_rat` scales by an exact rational and
+:func:`abs_exact` gives an exact magnitude.
 """
 
 from __future__ import annotations
@@ -18,15 +21,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-try:
-    from gmpy2 import mpq as _RATIO
-except ImportError:  # pragma: no cover - gmpy2 is optional
-    _RATIO = Fraction
-
 BACKENDS = ("exact", "float")
 
-_ZERO = _RATIO(0)
-_RAT_TYPES = (int, Fraction, type(_ZERO))
+# The exact backend's rational type; perfbench records its name.
+_RATIO = Fraction
+_ZERO = Fraction(0)
+_RAT_TYPES = (int, Fraction)
 
 
 class QC:
@@ -106,7 +106,7 @@ class QC:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise ValueError("QC powers must be nonnegative integers")
-        out = QC._mk(_RATIO(1), _ZERO)
+        out = QC._mk(Fraction(1), _ZERO)
         base = self
         while n:
             if n & 1:
@@ -146,9 +146,9 @@ class QC:
 
 
 def _to_ratio(x):
-    if type(x) is type(_ZERO):
+    if type(x) is Fraction:
         return x
-    return _RATIO(x)
+    return Fraction(x)
 
 
 def _coerce(x):
@@ -167,6 +167,13 @@ def one(backend: str):
     return QC(1) if backend == "exact" else 1 + 0j
 
 
+def coerce(backend: str, x):
+    """``x`` itself if it is a scalar (QC or complex), else a rational as a scalar."""
+    if isinstance(x, (QC, complex)):
+        return x
+    return from_rational(backend, x)
+
+
 def from_rational(backend: str, re, im=0):
     """Build a scalar from rational (or int) real/imaginary parts."""
     if backend == "exact":
@@ -181,36 +188,11 @@ def _as_float(x) -> float:
         return float(Fraction(x))
 
 
-def conj(x):
-    return x.conjugate()
-
-
-def is_zero(x) -> bool:
-    return not bool(x)
-
-
-def to_complex(x) -> complex:
-    return complex(x)
-
-
-def scalar_abs(x) -> float:
-    return abs(x)
-
-
-def to_fraction(q) -> Fraction:
-    """An int-backed Fraction equal to any rational (mpq, mpz, Fraction).
-
-    Plain Fraction(mpq) keeps mpz internals on some interpreter versions,
-    which gmpy2 then refuses in mixed arithmetic; always go through ints.
-    """
-    return Fraction(int(q.numerator), int(q.denominator))
-
-
 def _fraction_sqrt(q):
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
         return None
-    n, d = int(q.numerator), int(q.denominator)
+    n, d = q.numerator, q.denominator
     rn, rd = math.isqrt(n), math.isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Fraction(rn, rd)
@@ -222,14 +204,14 @@ def abs_exact(x):
     if not isinstance(x, QC):
         return None
     if not x.im:
-        return to_fraction(abs(x.re))
+        return abs(x.re)
     if not x.re:
-        return to_fraction(abs(x.im))
+        return abs(x.im)
     return _fraction_sqrt(x.abs2())
 
 
 def mul_rat(backend: str, x, q):
     """Multiply a scalar by an exact rational, respecting the backend."""
     if backend == "exact":
-        return x * _RATIO(q)
+        return x * Fraction(q)
     return x * float(Fraction(q))

@@ -18,16 +18,18 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import scalars
-from .bilinear_forms import BilinearForm, lambda_parts
+from .bilinear_forms import BilinearForm
 from .errors import DomainError, RefusedPreconditionError
 from .graded_poly import Element
 from .star_algebra import poisson_bracket, star
 
 REL_TOL = 1e-9
+LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 class WeightedSeminorm:
@@ -79,7 +81,7 @@ def _coeff_abs(c, exact: bool):
                 "coefficient magnitude is irrational; exact seminorm unavailable"
             )
         return a
-    return scalars.scalar_abs(c)
+    return abs(c)
 
 
 def pn_seminorm(a: Element, n: int, p: WeightedSeminorm, exact: bool = False):
@@ -91,13 +93,9 @@ def pn_seminorm(a: Element, n: int, p: WeightedSeminorm, exact: bool = False):
     """
     total = Fraction(0) if exact else 0.0
     for e, c in a.terms.items():
-        if sum(e) != n:
-            continue
-        w = p.monomial_weight(e)
-        if exact:
-            total += _coeff_abs(c, True) * w
-        else:
-            total += _coeff_abs(c, False) * float(w)
+        if sum(e) == n:
+            # a float times a Fraction multiplies by float(Fraction)
+            total += _coeff_abs(c, exact) * p.monomial_weight(e)
     return total
 
 
@@ -112,22 +110,38 @@ def _fact_pow(n: int, R, exact: bool):
     return math.exp(float(R) * math.lgamma(n + 1))
 
 
+def _weighted_term(n: int, R, pn, exact: bool):
+    """n!^R * pn; in binary64 a product beyond range is inf.
+
+    Log space is used only where n!^R alone overflows, so every product
+    that the direct form computes keeps its bits.
+    """
+    try:
+        return _fact_pow(n, R, exact) * pn
+    except OverflowError:
+        pass
+    if not pn:
+        return 0.0
+    log_v = float(R) * math.lgamma(n + 1) + math.log(pn)
+    return math.exp(log_v) if log_v < LOG_FLOAT_MAX else math.inf
+
+
+def _degree_terms(a: Element, p: WeightedSeminorm, R, exact: bool):
+    for n, part in a.grade_components().items():
+        yield _weighted_term(n, R, pn_seminorm(part, n, p, exact), exact)
+
+
 def p_R(a: Element, p: WeightedSeminorm, R, exact: bool = False):
     """The weighted-factorial seminorm: sum_n n!^R * pn(a, n)."""
     total = Fraction(0) if exact else 0.0
-    for n, part in a.grade_components().items():
-        total += _fact_pow(n, R, exact) * pn_seminorm(part, n, p, exact)
+    for v in _degree_terms(a, p, R, exact):
+        total += v
     return total
 
 
 def p_R_inf(a: Element, p: WeightedSeminorm, R, exact: bool = False):
     """The sup variant: sup_n n!^R * pn(a, n)."""
-    best = Fraction(0) if exact else 0.0
-    for n, part in a.grade_components().items():
-        v = _fact_pow(n, R, exact) * pn_seminorm(part, n, p, exact)
-        if v > best:
-            best = v
-    return best
+    return max(_degree_terms(a, p, R, exact), default=Fraction(0) if exact else 0.0)
 
 
 def wick_epsilon_norm(a: Element, eps: float):
@@ -143,7 +157,7 @@ def wick_epsilon_norm(a: Element, eps: float):
         for i, k in enumerate(e):
             if k and not a.basis.is_even(i):
                 raise DomainError("element contains odd generators")
-        taylor = scalars.scalar_abs(c)
+        taylor = abs(c)
         for k in e:
             taylor *= math.factorial(k)
         n = sum(e)
@@ -156,7 +170,7 @@ def _to_float_element(a: Element) -> Element:
     if a.backend == "float":
         return a
     return Element(
-        a.basis, "float", {e: scalars.to_complex(c) for e, c in a.terms.items()}
+        a.basis, "float", {e: complex(c) for e, c in a.terms.items()}
     )
 
 
@@ -251,6 +265,18 @@ def _dominating_seminorm(form: BilinearForm, p: WeightedSeminorm, exact: bool):
     return p.scaled(Fraction(sigma)), sigma
 
 
+def _exponent_and_two(R: Fraction, exact: bool):
+    """R and 2 in the arithmetic of the check: int and Fraction, or floats.
+
+    The estimate formulas are written once, in binary64 order of
+    operations; on integer R exact arithmetic gives the same values in
+    any order.
+    """
+    if exact:
+        return R.numerator, Fraction(2)
+    return float(R), 2.0
+
+
 def _series_sum(term, exact: bool, kmax: int = 40):
     total = Fraction(0) if exact else 0.0
     for k in range(kmax + 1):
@@ -279,67 +305,35 @@ def verify_product_estimate(
         exact = R.denominator == 1 and a.backend == "exact"
     if exact and R.denominator != 1:
         raise DomainError("exact product estimate needs an integer R")
-    if not isinstance(z, (scalars.QC, complex)):
-        z = scalars.from_rational(a.backend, z)
+    z = scalars.coerce(a.backend, z)
     zmag = _coeff_abs(z, exact)
     pd, sigma = _dominating_seminorm(form, p, exact)
 
     prod = star(a, b, z, form)
     lhs = p_R(prod, pd, R, exact)
 
-    two_R = (
-        Fraction(2) ** R.numerator if exact else 2.0 ** float(R)
-    )
-    c = max(2 * zmag, 2 if exact else 2.0, two_R)
+    r, two = _exponent_and_two(R, exact)
+    c = max(2 * zmag, two, two**r)
     if R <= 1 and zmag >= 1:
         branch = "R<=1,|z|>=1"
 
         def term(k):
-            if exact:
-                return Fraction(1) / (
-                    zmag**k * Fraction(math.factorial(k)) ** (2 * R.numerator - 1)
-                    * Fraction(2) ** (2 * R.numerator * k)
-                )
-            return 1.0 / (
-                float(zmag) ** k
-                * math.factorial(k) ** (2 * float(R) - 1)
-                * 2.0 ** (2 * float(R) * k)
-            )
+            return 1 / (zmag**k * math.factorial(k) ** (2 * r - 1) * two ** (2 * r * k))
 
     elif R <= 1:
         branch = "R<=1,|z|<1"
 
         def term(k):
-            if exact:
-                return (
-                    zmag**k
-                    / Fraction(2) ** (2 * R.numerator * k)
-                    / Fraction(math.factorial(k)) ** (2 * R.numerator - 1)
-                )
-            return (
-                float(zmag) ** k
-                * 2.0 ** (-2 * float(R) * k)
-                / math.factorial(k) ** (2 * float(R) - 1)
-            )
+            return zmag**k * two ** (-2 * r * k) / math.factorial(k) ** (2 * r - 1)
 
     else:
         branch = "R>1"
 
         def term(k):
-            if exact:
-                return (
-                    zmag**k
-                    / Fraction(2) ** (2 * R.numerator * k)
-                    / Fraction(math.factorial(k))
-                )
-            return (
-                float(zmag) ** k
-                * 2.0 ** (-2 * float(R) * k)
-                / math.factorial(k)
-            )
+            return zmag**k * two ** (-2 * r * k) / math.factorial(k)
 
     c_prime = _series_sum(term, exact)
-    cp = pd.scaled(c) if exact else pd.scaled(Fraction(c))
+    cp = pd.scaled(c)
     rhs = c_prime * p_R(a, cp, R, exact) * p_R(b, cp, R, exact)
     holds = lhs <= rhs if exact else lhs <= rhs * (1 + REL_TOL)
     return EstimateReport(
@@ -366,11 +360,9 @@ def verify_bracket_estimate(
     pd, sigma = _dominating_seminorm(form, p, exact)
     br = poisson_bracket(a, b, form)
     lhs = p_R(br, pd, R, exact)
-    if exact:
-        c = Fraction(2) ** (R.numerator + 1)
-    else:
-        c = 2.0 ** (float(R) + 1)
-    cp = pd.scaled(Fraction(c))
+    r, two = _exponent_and_two(R, exact)
+    c = two ** (r + 1)
+    cp = pd.scaled(c)
     rhs = p_R(a, cp, R, exact) * p_R(b, cp, R, exact)
     holds = lhs <= rhs if exact else lhs <= rhs * (1 + REL_TOL)
     return EstimateReport(

@@ -25,7 +25,13 @@ from . import scalars
 from .bilinear_forms import BilinearForm, lambda_parts
 from .errors import DomainError, RefusedPreconditionError, TruncationBudgetError
 from .graded_poly import Element
-from .seminorm_calculus import WeightedSeminorm, pn_seminorm
+from .seminorm_calculus import (
+    LOG_FLOAT_MAX,
+    WeightedSeminorm,
+    _to_float_element,
+    _weighted_term,
+    pn_seminorm,
+)
 from .star_algebra import star
 
 RATIO_BAND = (0.95, 1.05)
@@ -108,9 +114,7 @@ def exp_element(v: Element, order: int = DEFAULT_ORDER) -> TruncatedSeries:
             )
             tail = False
             break
-        comps.append(
-            power.scale(scalars.from_rational(v.backend, Fraction(1, math.factorial(n))))
-        )
+        comps.append(power.scale(Fraction(1, math.factorial(n))))
     return TruncatedSeries(comps, order, {"kind": "exp", "v": v}, has_tail=tail)
 
 
@@ -125,10 +129,8 @@ def star_exp(w: Element, t, z, form: BilinearForm, order: int = DEFAULT_ORDER) -
     _require_degree_one(w)
     if w.parity() != 0:
         raise DomainError("the star-exponential closed form needs an even element")
-    if not isinstance(t, (scalars.QC, complex)):
-        t = scalars.from_rational(w.backend, t)
-    if not isinstance(z, (scalars.QC, complex)):
-        z = scalars.from_rational(w.backend, z)
+    t = scalars.coerce(w.backend, t)
+    z = scalars.coerce(w.backend, z)
     lam = form.apply(w, w)
     half_zlam = scalars.mul_rat(w.backend, z * lam, Fraction(1, 2))
     comps = []
@@ -169,20 +171,25 @@ def f_epsilon_series(v: Element, eps, order: int = DEFAULT_ORDER) -> TruncatedSe
     if eps_f <= 0:
         raise DomainError("eps must be positive")
     exact_ok = eps_f.denominator == 1 and v.backend == "exact"
-    if not exact_ok and v.backend == "exact":
-        v = Element(
-            v.basis, "float", {e: scalars.to_complex(c) for e, c in v.terms.items()}
-        )
+    if not exact_ok:
+        v = _to_float_element(v)
     comps = [Element.one(v.basis, v.backend)]
     power = Element.one(v.basis, v.backend)
     for n in range(1, order + 1):
         power = power * v
         if exact_ok:
-            coeff = Fraction(1, math.factorial(n) ** eps_f.numerator)
-            comps.append(power.scale(scalars.from_rational(v.backend, coeff)))
+            comps.append(power.scale(Fraction(1, math.factorial(n) ** eps_f.numerator)))
         else:
-            comps.append(power.scale(complex(math.factorial(n) ** -float(eps_f), 0)))
+            comps.append(power.scale(complex(_fact_pow_float(n, -float(eps_f)), 0)))
     return TruncatedSeries(comps, order, {"kind": "f_eps", "eps": eps}, has_tail=bool(v))
+
+
+def _fact_pow_float(n: int, x: float) -> float:
+    """n!^x in binary64; in log space where n! itself exceeds binary64."""
+    try:
+        return math.factorial(n) ** x
+    except OverflowError:
+        return math.exp(x * math.lgamma(n + 1))
 
 
 def _require_degree_one(v: Element):
@@ -264,16 +271,19 @@ def convergence_diagnosis(S: TruncatedSeries, p: WeightedSeminorm, R, window: in
     window and band are finite-order heuristics; the underlying statements
     are asymptotic.
     """
-    terms = []
-    for n in range(S.order + 1):
-        comp = S.components[n]
-        v = math.exp(float(R) * math.lgamma(n + 1)) * pn_seminorm(comp, n, p)
-        terms.append(v)
+    terms = [
+        _weighted_term(n, float(R), pn_seminorm(comp, n, p), False)
+        for n, comp in enumerate(S.components)
+    ]
     partials = []
     acc = 0.0
     for v in terms:
         acc += v
         partials.append(acc)
+    if not math.isfinite(acc):
+        raise RefusedPreconditionError(
+            f"at R = {float(R)!r} the terms or partial sums exceed binary64"
+        )
     nz = [(n, t) for n, t in enumerate(terms) if t > 0.0]
     verdict, slope = _ratio_verdict(nz, window, not S.has_tail)
     ratios = [
@@ -338,6 +348,18 @@ def divergence_witness_standard_ordered(eps: float, hbar: float, L: int):
         raise DomainError("hbar must be nonnegative")
     if L < 0:
         raise DomainError("L must be >= 0")
+    # Before dividing by l!, the star product of the l-th components
+    # holds l!^(2 - 2 eps); past binary64 it would turn into nan.
+    log_fact = math.lgamma(L + 1)
+    if (2 - 2 * eps) * log_fact >= LOG_FLOAT_MAX:
+        raise RefusedPreconditionError(
+            f"L = {L} is too large: the star product for l = L passes through "
+            "L!^(2 - 2 eps), beyond binary64"
+        )
+    if hbar and L * math.log(hbar) + (1 - 2 * eps) * log_fact >= LOG_FLOAT_MAX:
+        raise RefusedPreconditionError(
+            f"the term hbar^L L!^(1 - 2 eps) for L = {L} exceeds binary64"
+        )
     from .basis import GeneratorBasis
 
     basis = GeneratorBasis(("q", "p"), ("even", "even"))
@@ -389,9 +411,8 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
     _require_degree_one(w)
     if w.parity() != 0:
         raise DomainError("conjugating element must be even")
-    if not isinstance(z, (scalars.QC, complex)):
-        z = scalars.from_rational(w.backend, z)
-    if scalars.is_zero(z):
+    z = scalars.coerce(w.backend, z)
+    if not z:
         raise DomainError("z must be nonzero")
     _, minus = lambda_parts(form)
     phi_v = minus.apply(w, v) * z * 2
@@ -408,11 +429,7 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
         for l in range(r + 1):
             m = r - l
             piece = star(star(star_pows[l], v, z, form), star_pows[m], z, form)
-            coeff = scalars.mul_rat(
-                w.backend,
-                scalars.one(w.backend),
-                Fraction((-1) ** m, math.factorial(l) * math.factorial(m)),
-            )
+            coeff = Fraction((-1) ** m, math.factorial(l) * math.factorial(m))
             term = term + piece.scale(coeff)
         orders.append(term)
         cumulative = cumulative + term

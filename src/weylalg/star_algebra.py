@@ -35,8 +35,7 @@ def star(a: Element, b: Element, z, form: BilinearForm) -> Element:
     require_same_basis(a, b)
     if a.basis != form.basis:
         raise BasisMismatchError("form over a different basis")
-    if not isinstance(z, (scalars.QC, complex)):
-        z = scalars.from_rational(a.backend, z)
+    z = scalars.coerce(a.backend, z)
     out = Element.zero(a.basis, a.backend)
     u = TensorPair.of(a, b)
     k = 0
@@ -64,7 +63,7 @@ def poisson_bracket(a: Element, b: Element, form: BilinearForm) -> Element:
     require_same_basis(a, b)
     _, minus = lambda_parts(form)
     u = p_lambda(TensorPair.of(a, b), minus)
-    return u.multiply().scale(scalars.from_rational(a.backend, 2))
+    return u.multiply().scale(2)
 
 
 def graded_commutator(a: Element, b: Element, z, form: BilinearForm) -> Element:
@@ -92,8 +91,7 @@ def equivalence_transform(a: Element, z, g: BilinearForm) -> Element:
     Intertwines the star products of two forms differing by the
     graded-symmetric g, whenever their antisymmetric parts agree.
     """
-    if not isinstance(z, (scalars.QC, complex)):
-        z = scalars.from_rational(a.backend, z)
+    z = scalars.coerce(a.backend, z)
     out = Element.zero(a.basis, a.backend)
     cur = a
     k = 0
@@ -119,9 +117,8 @@ def translate(a: Element, phi) -> Element:
     shifts = {}
     for name, v in phi.items():
         i = b.index(name)
-        if not isinstance(v, (scalars.QC, complex)):
-            v = scalars.from_rational(a.backend, v)
-        if scalars.is_zero(v):
+        v = scalars.coerce(a.backend, v)
+        if not v:
             continue
         if not b.is_even(i):
             raise DomainError(f"translation functional hits odd generator {name!r}")
@@ -160,9 +157,8 @@ def derivation_X(a: Element, phi) -> Element:
     b = a.basis
     supp = {}
     for name, v in phi.items():
-        if not isinstance(v, (scalars.QC, complex)):
-            v = scalars.from_rational(a.backend, v)
-        if not scalars.is_zero(v):
+        v = scalars.coerce(a.backend, v)
+        if v:
             supp[b.index(name)] = v
     if not supp:
         return Element.zero(b, a.backend)
@@ -203,10 +199,8 @@ def apply_linear(a: Element, A) -> Element:
     for c in range(b.dimension):
         img = Element.zero(b, a.backend)
         for r in range(b.dimension):
-            v = rows[r][c]
-            if not isinstance(v, (scalars.QC, complex)):
-                v = scalars.from_rational(a.backend, v)
-            if scalars.is_zero(v):
+            v = scalars.coerce(a.backend, rows[r][c])
+            if not v:
                 continue
             if b.parity(r) != b.parity(c):
                 raise ParityBlockError("the linear map does not preserve parity")
@@ -242,12 +236,12 @@ def check_star_involution(form: BilinearForm, hbar):
     for i in range(d):
         for j in range(d):
             p = plus.matrix[i][j]
-            if scalars.conj(p) != -p:
+            if p.conjugate() != -p:
                 violations.append(
                     {"part": "plus", "pair": (names[i], names[j]), "value": repr(p)}
                 )
             m = minus.matrix[i][j]
-            if scalars.conj(m) != m:
+            if m.conjugate() != m:
                 violations.append(
                     {"part": "minus", "pair": (names[i], names[j]), "value": repr(m)}
                 )

@@ -26,7 +26,6 @@ from weylalg import (
     divergence_witness_standard_ordered,
     equivalence_transform,
     exp_element,
-    graded_commutator,
     inner_translation_check,
     is_poisson_map,
     kothe_matrix,
@@ -34,9 +33,7 @@ from weylalg import (
     nuclearity_diagnostic,
     ommy_norm_upper,
     p_R,
-    pn_seminorm,
     poisson_bracket,
-    sharp,
     star,
     star_exp,
     translate,

@@ -427,9 +427,7 @@ def _conjugate(M, C):
 
 
 def _frac_matrix(form):
-    from weylalg.scalars import to_fraction
-
-    return [[to_fraction(c.re) for c in row] for row in form.matrix]
+    return [[c.re for c in row] for row in form.matrix]
 
 
 def test_normal_form_examples():

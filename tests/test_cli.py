@@ -1,23 +1,26 @@
 """JSON formats and the command-line front end (exit-code contract)."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from weylalg import Element, GeneratorBasis, LatticeSection, QC, star
-from weylalg.bilinear_forms import BilinearForm
+from weylalg import Element, LatticeSection, QC
 from weylalg.cli import main
 from weylalg.jsonio import (
+    RATIONAL_MAX_DIGITS,
+    RATIONAL_MAX_EXPONENT,
     SchemaError,
-    dumps,
     element_from_json,
     element_to_json,
     form_from_json,
     form_to_json,
+    scalar_from_json,
     section_from_json,
     section_to_json,
+    seminorm_from_json,
 )
 from weylalg.randoms import default_basis, random_element, random_even_form
 
@@ -301,6 +304,8 @@ def test_cmd_peierls(capsys, monkeypatch):
         ["kothe", "--eps", "x"],
         ["peierls", "weyl-gram", "--m2", "x"],
         ["peierls", "weyl-gram", "--scale", "x"],
+        ["kothe", "--eps", "1e-3000000", "--n-max", "2"],
+        ["peierls", "weyl-gram", "--scale", "1" * (RATIONAL_MAX_DIGITS + 1)],
     ],
 )
 def test_malformed_flags_are_input_errors(args, capsys, monkeypatch):
@@ -308,3 +313,69 @@ def test_malformed_flags_are_input_errors(args, capsys, monkeypatch):
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_rational_literals_are_capped():
+    at_cap = ["1" * RATIONAL_MAX_DIGITS, f"1e-{RATIONAL_MAX_EXPONENT}"]
+    over = ["1" * (RATIONAL_MAX_DIGITS + 1), f"1e{RATIONAL_MAX_EXPONENT + 1}", "1e-3000000"]
+    for text in at_cap:
+        assert scalar_from_json(text, "exact").re == Fraction(text)
+        assert section_from_json({"1,2": text}) == LatticeSection({(1, 2): Fraction(text)})
+    for text in over:
+        with pytest.raises(SchemaError):
+            scalar_from_json({"re": "1", "im": text}, "exact")
+        with pytest.raises(SchemaError):
+            seminorm_from_json({"weights": {"q": text}}, B)
+        with pytest.raises(SchemaError):
+            section_from_json({"1,2": text})
+
+
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        (["star"], json.dumps(dict(STAR_DOC, z="1e-3000000"))),
+        (["convergence"], '{"series": {"kind": "exp"}, "R_grid": [' + "1" * 5000 + "]}"),
+        (["convergence"], '{"series": '),
+    ],
+    ids=["oversized-literal", "integer-past-int-str-limit", "truncated"],
+)
+def test_oversized_or_broken_json_is_an_input_error(args, text, capsys, monkeypatch):
+    code, out, err = run_cli(args, text, capsys, monkeypatch)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: ") and err.count("\n") == 1
+
+
+def test_float_overflow_uses_log_space(capsys, monkeypatch):
+    # n!^R alone leaves binary64 at n = 171; n!^R * p^n(exp(q)_n) stays near 1
+    doc = {"series": {"kind": "exp", "N": 200}, "R_grid": [1]}
+    code, out, err = run_cli(["convergence", "--format", "json"], json.dumps(doc), capsys, monkeypatch)
+    assert code == 0 and err == ""
+    terms = [row["term"] for row in json.loads(out)["rows"]]
+    assert len(terms) == 201 and all(math.isfinite(t) for t in terms)
+    assert abs(terms[171] - 1) < 1e-9
+    # f_eps coefficients n!^-eps past n = 170
+    doc = {"series": {"kind": "f_eps", "N": 200, "eps": 0.5}, "R_grid": [1]}
+    code, out, err = run_cli(["convergence", "--format", "json"], json.dumps(doc), capsys, monkeypatch)
+    assert code == 0 and err == ""
+    terms = [row["term"] for row in json.loads(out)["rows"]]
+    assert terms[200] == pytest.approx(math.exp(0.5 * math.lgamma(201)), rel=1e-9)
+    # the largest L whose star products stay inside binary64 at eps = 1/4
+    code, out, err = run_cli(["divergence", "--eps", "0.25", "--L", "123"], None, capsys, monkeypatch)
+    assert code == 0 and err == ""
+    last = float(out.splitlines()[-1].split(",")[1])
+    assert last == pytest.approx(math.exp(0.5 * math.lgamma(124)), rel=1e-9)
+
+
+@pytest.mark.parametrize(
+    "args, doc",
+    [
+        (["convergence"], {"series": {"kind": "exp", "N": 200}, "R_grid": [2]}),
+        (["divergence", "--eps", "0.25", "--L", "200"], None),
+        (["divergence", "--eps", "0.25", "--hbar", "1e10", "--L", "40"], None),
+    ],
+    ids=["convergence-R2-N200", "divergence-L200", "divergence-hbar1e10"],
+)
+def test_values_beyond_binary64_are_refused(args, doc, capsys, monkeypatch):
+    code, out, err = run_cli(args, json.dumps(doc) if doc else None, capsys, monkeypatch)
+    assert code == 4 and out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1

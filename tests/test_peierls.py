@@ -14,7 +14,6 @@ from weylalg import (
     WindowOverflowError,
     check_star_involution,
     graded_commutator,
-    star,
 )
 from weylalg.peierls import exact_rank, kernel_identification_report
 
@@ -276,6 +275,11 @@ def test_is_casimir_and_slab_representative():
         for x in (0, 4, 7):
             chi2 = LatticeSection.delta(t, x)
             assert ST.lambda_cov(phi, chi2) == ST.lambda_cov(psi, chi2)
+    # a Casimir is exactly a section pairing to zero with every solution
+    solutions = ST.solution_basis()
+    for sec in (ST.apply_D(chi), LatticeSection.delta(4, 4), phi, phi - psi):
+        by_solutions = all(ST.pairing(sec, u) == 0 for u in solutions)
+        assert ST.is_casimir(sec) == by_solutions
     # slab-supported sections are their own representatives
     slab = LatticeSection.delta(t0, 3) + LatticeSection.delta(t0 + 1, 5).scale(2)
     assert ST.slab_representative(slab, t0) == slab

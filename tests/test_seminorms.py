@@ -20,8 +20,6 @@ from weylalg import (
     p_R,
     p_R_inf,
     pn_seminorm,
-    poisson_bracket,
-    star,
     verify_bracket_estimate,
     verify_product_estimate,
     wick_epsilon_norm,

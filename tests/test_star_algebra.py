@@ -27,7 +27,7 @@ from weylalg import (
     translate,
 )
 from weylalg.star_algebra import conjugation_is_involution
-from weylalg.bilinear_forms import TensorPair, p_lambda_power
+from weylalg.bilinear_forms import p_lambda_power
 from weylalg.randoms import (
     default_basis,
     random_element,
