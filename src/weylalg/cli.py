@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import jsonio
@@ -152,6 +153,17 @@ def _read_input(args):
         raise SchemaError("--input", f"invalid JSON: {exc}") from None
 
 
+def _number_field(kind, value, path):
+    """``kind(value)`` for an int or float field of a JSON document, finite."""
+    try:
+        x = kind(value)
+        if math.isfinite(x):
+            return x
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise SchemaError(path, f"not a finite number: {str(value)[:40]}")
+
+
 def _write_output(args, text: str):
     if args.output == "-":
         sys.stdout.write(text)
@@ -279,14 +291,15 @@ def cmd_convergence(args) -> int:
     gen = series_doc.get("generator", basis.names[0])
     if gen not in basis.names:
         raise SchemaError("series.generator", f"unknown generator {gen!r}")
-    order = int(series_doc.get("N", 40))
+    order = _number_field(int, series_doc.get("N", 40), "series.N")
     coeff = jsonio.scalar_from_json(series_doc.get("coeff", 1), "float", "series.coeff")
     v = Element.generator(basis, gen, "float").scale(coeff)
     kind = series_doc.get("kind", "exp")
     if kind == "exp":
         S = exp_element(v, order)
     elif kind == "f_eps":
-        S = f_epsilon_series(v, float(series_doc.get("eps", 1.0)), order)
+        eps = _number_field(float, series_doc.get("eps", 1.0), "series.eps")
+        S = f_epsilon_series(v, eps, order)
     else:
         raise SchemaError("series.kind", "must be 'exp' or 'f_eps'")
     p = jsonio.seminorm_from_json(doc.get("seminorm", {"weights": {}}), basis)
@@ -295,7 +308,7 @@ def cmd_convergence(args) -> int:
     verdicts = {}
     metadata = {}
     for R in grid:
-        diag = convergence_diagnosis(S, p, float(R))
+        diag = convergence_diagnosis(S, p, _number_field(float, R, "R_grid"))
         verdicts[str(R)] = diag["verdict"]
         metadata[str(R)] = diag["metadata"]
         ratios = diag["ratios"]

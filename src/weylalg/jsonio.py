@@ -16,6 +16,7 @@ All emitters sort keys so identical inputs give identical bytes.
 from __future__ import annotations
 
 import json
+import sys
 from fractions import Fraction
 
 from . import scalars
@@ -29,7 +30,8 @@ from .seminorm_calculus import WeightedSeminorm
 
 # Caps on an exact literal, checked before Fraction sees it: parsing costs
 # more than linear time in both, and a value of more than 4300 digits
-# cannot be printed back.
+# cannot be printed back.  The value itself must also lie within binary64,
+# because estimates, reports and Koethe logs convert inputs to float.
 RATIONAL_MAX_DIGITS = 1000
 RATIONAL_MAX_EXPONENT = 1000
 
@@ -47,22 +49,20 @@ def rational_from_json(value, path) -> Fraction:
     text = str(value)
     exponent = text.lower().partition("e")[2]
     try:
-        too_big = (
-            sum(map(str.isdigit, text)) > RATIONAL_MAX_DIGITS
-            or abs(int(exponent or 0)) > RATIONAL_MAX_EXPONENT
+        small = (
+            sum(map(str.isdigit, text)) <= RATIONAL_MAX_DIGITS
+            and abs(int(exponent or 0)) <= RATIONAL_MAX_EXPONENT
         )
-    except ValueError:  # a malformed exponent; Fraction rejects the literal
-        too_big = False
-    if too_big:
+        q = Fraction(text) if small else None
+    except (ValueError, ZeroDivisionError):
+        raise SchemaError(path, f"not a rational number: {text[:40]!r}") from None
+    if q is None or abs(q) > sys.float_info.max:
         raise SchemaError(
             path,
-            f"rational literals are limited to {RATIONAL_MAX_DIGITS} digits "
-            f"and exponents of magnitude {RATIONAL_MAX_EXPONENT}",
+            f"rational literals are limited to {RATIONAL_MAX_DIGITS} digits, "
+            f"exponents of magnitude {RATIONAL_MAX_EXPONENT} and the binary64 range",
         )
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise SchemaError(path, f"not a rational number: {value!r}") from None
+    return q
 
 
 def _expect(cond, path, message):

@@ -8,12 +8,10 @@ Two coefficient backends are supported throughout the package:
 * ``"float"`` -- ordinary Python ``complex`` (binary64 pairs).  Round-off
   applies; numeric comparisons use relative tolerances.
 
-The rational parts are :class:`fractions.Fraction`.  Scalars of both
-backends support ``.conjugate()``, ``abs()``, ``complex()`` and truth
-testing, so callers use those directly.  What depends on the backend
-lives here: :func:`coerce` and :func:`from_rational` build a scalar of a
-backend from a rational, :func:`mul_rat` scales by an exact rational and
-:func:`abs_exact` gives an exact magnitude.
+The rational parts are :class:`fractions.Fraction`.  Callers use
+``.conjugate()``, ``abs()``, ``complex()`` and truth testing directly; only
+what depends on the backend lives here (:func:`coerce`, :func:`from_rational`,
+:func:`mul_rat`, :func:`abs_exact`).
 """
 
 from __future__ import annotations

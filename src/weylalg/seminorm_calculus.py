@@ -29,7 +29,10 @@ from .graded_poly import Element
 from .star_algebra import poisson_bracket, star
 
 REL_TOL = 1e-9
+# The package's binary64 range policy lives here: direct forms where they fit,
+# log space where only an intermediate overflows, refusal outside the range.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
+FLOAT_MIN = sys.float_info.min
 
 
 class WeightedSeminorm:
@@ -110,20 +113,29 @@ def _fact_pow(n: int, R, exact: bool):
     return math.exp(float(R) * math.lgamma(n + 1))
 
 
-def _weighted_term(n: int, R, pn, exact: bool):
-    """n!^R * pn; in binary64 a product beyond range is inf.
+def _fact_pow_float(n: int, x: float) -> float:
+    """n!^x by the direct form while n! fits binary64 (n <= 170), else in log space."""
+    if n <= 170:
+        return math.factorial(n) ** x
+    return math.exp(x * math.lgamma(n + 1))
 
-    Log space is used only where n!^R alone overflows, so every product
-    that the direct form computes keeps its bits.
-    """
+
+def _require_normal_floats(a: Element, count: int, what: str):
+    """Refuse a float element that lost a term to underflow (fewer than
+    ``count``) or holds a coefficient below the normal binary64 range."""
+    if len(a.terms) < count or any(abs(c) < FLOAT_MIN for c in a.terms.values()):
+        raise RefusedPreconditionError(
+            f"{what}: a coefficient underflows binary64 (below its normal range or to zero)"
+        )
+
+
+def _weighted_term(n: int, R, pn, exact: bool):
+    """n!^R * pn; in log space only where n!^R alone overflows, inf beyond binary64."""
     try:
         return _fact_pow(n, R, exact) * pn
     except OverflowError:
-        pass
-    if not pn:
-        return 0.0
-    log_v = float(R) * math.lgamma(n + 1) + math.log(pn)
-    return math.exp(log_v) if log_v < LOG_FLOAT_MAX else math.inf
+        log_v = float(R) * math.lgamma(n + 1) + math.log(pn) if pn else -math.inf
+        return math.exp(log_v) if log_v < LOG_FLOAT_MAX else math.inf
 
 
 def _degree_terms(a: Element, p: WeightedSeminorm, R, exact: bool):
@@ -266,12 +278,8 @@ def _dominating_seminorm(form: BilinearForm, p: WeightedSeminorm, exact: bool):
 
 
 def _exponent_and_two(R: Fraction, exact: bool):
-    """R and 2 in the arithmetic of the check: int and Fraction, or floats.
-
-    The estimate formulas are written once, in binary64 order of
-    operations; on integer R exact arithmetic gives the same values in
-    any order.
-    """
+    """R and 2 as int and Fraction, or as floats; the formulas that use them
+    keep binary64 order of operations, and exact values do not depend on it."""
     if exact:
         return R.numerator, Fraction(2)
     return float(R), 2.0
@@ -436,7 +444,12 @@ class KotheMatrix:
             return Fraction(math.factorial(n)) ** R.numerator * p.monomial_weight(
                 self.rows[i]
             )
-        return math.exp(self.log_entry(i, j))
+        try:
+            return math.exp(self.log_entry(i, j))
+        except OverflowError:
+            raise RefusedPreconditionError(
+                f"the entry of degree {n} in column {j} exceeds binary64"
+            ) from None
 
     @property
     def shape(self):

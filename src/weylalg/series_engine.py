@@ -28,6 +28,8 @@ from .graded_poly import Element
 from .seminorm_calculus import (
     LOG_FLOAT_MAX,
     WeightedSeminorm,
+    _fact_pow_float,
+    _require_normal_floats,
     _to_float_element,
     _weighted_term,
     pn_seminorm,
@@ -100,21 +102,28 @@ def exp_element(v: Element, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
     For a purely odd v the series terminates exactly at 1 + v.  The
     weighted partial sums p(v)^n n!^{R-1} of the seminorm of the result
-    converge precisely for R < 1; see ``convergence_diagnosis``.
+    converge precisely for R < 1; see ``convergence_diagnosis``.  On the
+    float backend a coefficient below the normal binary64 range is refused.
     """
     _require_degree_one(v)
+    floats = v.backend == "float"
+    nilpotent = v.parity() == 1
     comps = [Element.one(v.basis, v.backend)]
     power = Element.one(v.basis, v.backend)
     tail = True
     for n in range(1, order + 1):
         power = power * v
-        if not power:
+        if not power and (nilpotent or not floats):
             comps.extend(
                 Element.zero(v.basis, v.backend) for _ in range(n, order + 1)
             )
             tail = False
             break
-        comps.append(power.scale(Fraction(1, math.factorial(n))))
+        comp = power.scale(Fraction(1, math.factorial(n)))
+        if floats:
+            # v^n has at least as many terms as v^(n-1) unless v is odd
+            _require_normal_floats(comp, len(comps[-1].terms), f"exp degree {n}")
+        comps.append(comp)
     return TruncatedSeries(comps, order, {"kind": "exp", "v": v}, has_tail=tail)
 
 
@@ -162,7 +171,8 @@ def f_epsilon_series(v: Element, eps, order: int = DEFAULT_ORDER) -> TruncatedSe
 
     Its weighted partial sums n!^{R-eps} p(v)^n converge iff R < eps, so
     for eps < 1 these elements escape every completion that still carries
-    the star product.  Non-integer eps forces float coefficients.
+    the star product.  Non-integer eps forces float coefficients; one
+    below the normal binary64 range is refused.
     """
     _require_degree_one(v)
     if v.parity() != 0:
@@ -180,16 +190,10 @@ def f_epsilon_series(v: Element, eps, order: int = DEFAULT_ORDER) -> TruncatedSe
         if exact_ok:
             comps.append(power.scale(Fraction(1, math.factorial(n) ** eps_f.numerator)))
         else:
-            comps.append(power.scale(complex(_fact_pow_float(n, -float(eps_f)), 0)))
+            comp = power.scale(complex(_fact_pow_float(n, -float(eps_f)), 0))
+            _require_normal_floats(comp, len(comps[-1].terms), f"f_eps degree {n}")
+            comps.append(comp)
     return TruncatedSeries(comps, order, {"kind": "f_eps", "eps": eps}, has_tail=bool(v))
-
-
-def _fact_pow_float(n: int, x: float) -> float:
-    """n!^x in binary64; in log space where n! itself exceeds binary64."""
-    try:
-        return math.factorial(n) ** x
-    except OverflowError:
-        return math.exp(x * math.lgamma(n + 1))
 
 
 def _require_degree_one(v: Element):
@@ -271,10 +275,12 @@ def convergence_diagnosis(S: TruncatedSeries, p: WeightedSeminorm, R, window: in
     window and band are finite-order heuristics; the underlying statements
     are asymptotic.
     """
-    terms = [
-        _weighted_term(n, float(R), pn_seminorm(comp, n, p), False)
-        for n, comp in enumerate(S.components)
-    ]
+    terms = []
+    try:
+        for n, comp in enumerate(S.components):
+            terms.append(_weighted_term(n, float(R), pn_seminorm(comp, n, p), False))
+    except OverflowError:  # a weight p^n alone is beyond binary64
+        terms.append(math.inf)
     partials = []
     acc = 0.0
     for v in terms:
@@ -348,18 +354,12 @@ def divergence_witness_standard_ordered(eps: float, hbar: float, L: int):
         raise DomainError("hbar must be nonnegative")
     if L < 0:
         raise DomainError("L must be >= 0")
-    # Before dividing by l!, the star product of the l-th components
-    # holds l!^(2 - 2 eps); past binary64 it would turn into nan.
+    # The star product for l = L passes through L!^(2 - 2 eps) before the
+    # term hbar^L L!^(1 - 2 eps); past binary64 either would turn into nan.
     log_fact = math.lgamma(L + 1)
-    if (2 - 2 * eps) * log_fact >= LOG_FLOAT_MAX:
-        raise RefusedPreconditionError(
-            f"L = {L} is too large: the star product for l = L passes through "
-            "L!^(2 - 2 eps), beyond binary64"
-        )
-    if hbar and L * math.log(hbar) + (1 - 2 * eps) * log_fact >= LOG_FLOAT_MAX:
-        raise RefusedPreconditionError(
-            f"the term hbar^L L!^(1 - 2 eps) for L = {L} exceeds binary64"
-        )
+    log_term = L * math.log(hbar or 1) + (1 - 2 * eps) * log_fact
+    if max((2 - 2 * eps) * log_fact, log_term) >= LOG_FLOAT_MAX:
+        raise RefusedPreconditionError(f"at L = {L} a star product or term exceeds binary64")
     from .basis import GeneratorBasis
 
     basis = GeneratorBasis(("q", "p"), ("even", "even"))

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -306,6 +307,8 @@ def test_cmd_peierls(capsys, monkeypatch):
         ["peierls", "weyl-gram", "--scale", "x"],
         ["kothe", "--eps", "1e-3000000", "--n-max", "2"],
         ["peierls", "weyl-gram", "--scale", "1" * (RATIONAL_MAX_DIGITS + 1)],
+        ["kothe", "--R", "1e400"],
+        ["verify", "product-estimate", "--zmag", "1e400", "--format", "csv"],
     ],
 )
 def test_malformed_flags_are_input_errors(args, capsys, monkeypatch):
@@ -316,8 +319,15 @@ def test_malformed_flags_are_input_errors(args, capsys, monkeypatch):
 
 
 def test_rational_literals_are_capped():
-    at_cap = ["1" * RATIONAL_MAX_DIGITS, f"1e-{RATIONAL_MAX_EXPONENT}"]
-    over = ["1" * (RATIONAL_MAX_DIGITS + 1), f"1e{RATIONAL_MAX_EXPONENT + 1}", "1e-3000000"]
+    half = "1" * (RATIONAL_MAX_DIGITS // 2)
+    at_cap = [f"{half}/{half}", f"1e-{RATIONAL_MAX_EXPONENT}", "1e308"]
+    over = [
+        "1" * (RATIONAL_MAX_DIGITS + 1),
+        f"1e{RATIONAL_MAX_EXPONENT + 1}",
+        "1e-3000000",
+        "-1e309",
+        str(2 * int(sys.float_info.max)),
+    ]
     for text in at_cap:
         assert scalar_from_json(text, "exact").re == Fraction(text)
         assert section_from_json({"1,2": text}) == LatticeSection({(1, 2): Fraction(text)})
@@ -336,8 +346,20 @@ def test_rational_literals_are_capped():
         (["star"], json.dumps(dict(STAR_DOC, z="1e-3000000"))),
         (["convergence"], '{"series": {"kind": "exp"}, "R_grid": [' + "1" * 5000 + "]}"),
         (["convergence"], '{"series": '),
+        (["convergence"], '{"series": {"kind": "exp"}, "R_grid": [' + "1" * 400 + "]}"),
+        (["convergence"], '{"series": {"kind": "exp"}, "R_grid": ["abc"]}'),
+        (["convergence"], '{"series": {"kind": "exp", "N": "x"}, "R_grid": [1]}'),
+        (["convergence"], '{"series": {"kind": "f_eps", "eps": null}, "R_grid": [1]}'),
     ],
-    ids=["oversized-literal", "integer-past-int-str-limit", "truncated"],
+    ids=[
+        "oversized-literal",
+        "integer-past-int-str-limit",
+        "truncated",
+        "R-beyond-binary64",
+        "R-not-a-number",
+        "N-not-a-number",
+        "eps-null",
+    ],
 )
 def test_oversized_or_broken_json_is_an_input_error(args, text, capsys, monkeypatch):
     code, out, err = run_cli(args, text, capsys, monkeypatch)
@@ -346,19 +368,20 @@ def test_oversized_or_broken_json_is_an_input_error(args, text, capsys, monkeypa
 
 
 def test_float_overflow_uses_log_space(capsys, monkeypatch):
-    # n!^R alone leaves binary64 at n = 171; n!^R * p^n(exp(q)_n) stays near 1
-    doc = {"series": {"kind": "exp", "N": 200}, "R_grid": [1]}
+    # 1/170! is the last normal exp coefficient: n!^R * p^n(exp(q)_n) = 1 throughout
+    doc = {"series": {"kind": "exp", "N": 170}, "R_grid": [1]}
     code, out, err = run_cli(["convergence", "--format", "json"], json.dumps(doc), capsys, monkeypatch)
     assert code == 0 and err == ""
     terms = [row["term"] for row in json.loads(out)["rows"]]
-    assert len(terms) == 201 and all(math.isfinite(t) for t in terms)
-    assert abs(terms[171] - 1) < 1e-9
-    # f_eps coefficients n!^-eps past n = 170
+    assert len(terms) == 171 and terms == pytest.approx([1.0] * 171, rel=1e-9)
+    # n!^R alone leaves binary64 at n = 171; the f_eps coefficients n!^-eps
+    # stay normal, and n!^R * n!^-eps = n!^(1/2) is taken in log space
     doc = {"series": {"kind": "f_eps", "N": 200, "eps": 0.5}, "R_grid": [1]}
     code, out, err = run_cli(["convergence", "--format", "json"], json.dumps(doc), capsys, monkeypatch)
     assert code == 0 and err == ""
     terms = [row["term"] for row in json.loads(out)["rows"]]
-    assert terms[200] == pytest.approx(math.exp(0.5 * math.lgamma(201)), rel=1e-9)
+    expected = [math.exp(0.5 * math.lgamma(n + 1)) for n in range(201)]
+    assert terms == pytest.approx(expected, rel=1e-9)
     # the largest L whose star products stay inside binary64 at eps = 1/4
     code, out, err = run_cli(["divergence", "--eps", "0.25", "--L", "123"], None, capsys, monkeypatch)
     assert code == 0 and err == ""
@@ -369,11 +392,31 @@ def test_float_overflow_uses_log_space(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "args, doc",
     [
-        (["convergence"], {"series": {"kind": "exp", "N": 200}, "R_grid": [2]}),
+        (["convergence"], {"series": {"kind": "exp", "N": 171}, "R_grid": [1]}),
+        (["convergence"], {"series": {"kind": "exp", "N": 200}, "R_grid": [1]}),
+        (["convergence"], {"series": {"kind": "exp", "coeff": 1e-200}, "R_grid": [1]}),
+        (["convergence"], {"series": {"kind": "f_eps", "N": 400, "eps": 0.5}, "R_grid": [1]}),
+        (["convergence"], {"series": {"kind": "f_eps", "N": 200, "eps": 0.5}, "R_grid": [2]}),
+        (
+            ["convergence"],
+            {"series": {"kind": "f_eps", "N": 1100, "eps": 0.1}, "R_grid": [0.05],
+             "seminorm": {"weights": {"q": 2}}},
+        ),
         (["divergence", "--eps", "0.25", "--L", "200"], None),
         (["divergence", "--eps", "0.25", "--hbar", "1e10", "--L", "40"], None),
+        (["kothe", "--n-max", "200", "--format", "csv"], None),
     ],
-    ids=["convergence-R2-N200", "divergence-L200", "divergence-hbar1e10"],
+    ids=[
+        "exp-coefficient-subnormal",
+        "exp-coefficient-zero",
+        "exp-power-underflows",
+        "f_eps-coefficient-subnormal",
+        "f_eps-term-beyond-binary64",
+        "weight-power-beyond-binary64",
+        "divergence-L200",
+        "divergence-hbar1e10",
+        "kothe-entry-beyond-binary64",
+    ],
 )
 def test_values_beyond_binary64_are_refused(args, doc, capsys, monkeypatch):
     code, out, err = run_cli(args, json.dumps(doc) if doc else None, capsys, monkeypatch)
