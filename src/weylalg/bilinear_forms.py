@@ -9,11 +9,17 @@ square of the symmetric algebra) and pairs one slot from each leg through
 the form, with Koszul signs; applied inside an exponential it produces
 the star product, and its graded-antisymmetric part the Poisson bracket.
 
-Everything here is a pure function over immutable values; thread-safe.
+Everything here is a pure function over immutable values.  A form keeps
+its graded transpose and its graded-symmetric and -antisymmetric parts,
+built on first use, so the bracket and the operators that read them do
+not rebuild them on each call.  Sharing a form across threads stays safe:
+the parts are a pure function of the matrix, so two threads that build
+them at once store equal values.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 
 from . import _kernels_py as K
@@ -26,37 +32,30 @@ from .graded_poly import Element, _accumulate
 class BilinearForm:
     """An even bilinear form given by its Gram matrix on generators."""
 
-    __slots__ = ("basis", "backend", "matrix", "_pairs", "_entries")
+    __slots__ = ("basis", "backend", "matrix", "_entries", "_graded_parts")
 
     def __init__(self, basis: GeneratorBasis, matrix, backend="exact"):
         d = basis.dimension
         rows = [list(r) for r in matrix]
         if len(rows) != d or any(len(r) != d for r in rows):
             raise DomainError("matrix must be square of the basis dimension")
-        for i in range(d):
-            for j in range(d):
-                c = rows[i][j]
-                if c and basis.parity(i) != basis.parity(j):
-                    raise ParityBlockError(
-                        f"entry ({basis.names[i]}, {basis.names[j]}) pairs "
-                        "generators of different parity"
-                    )
         self.basis = basis
         self.backend = backend
         self.matrix = tuple(tuple(r) for r in rows)
-        self._pairs = tuple(
-            (i, j)
-            for i in range(d)
-            for j in range(d)
-            if rows[i][j]
+        self._entries = tuple(
+            (i, j, c) for i, row in enumerate(self.matrix) for j, c in enumerate(row) if c
         )
-        self._entries = tuple((i, j, self.matrix[i][j]) for i, j in self._pairs)
+        self._graded_parts = None
+        for i, j, _ in self._entries:
+            if basis.parity(i) != basis.parity(j):
+                raise ParityBlockError(
+                    f"entry ({basis.names[i]}, {basis.names[j]}) pairs "
+                    "generators of different parity"
+                )
 
     @classmethod
     def zero(cls, basis, backend="exact"):
-        d = basis.dimension
-        z = scalars.zero(backend)
-        return cls(basis, [[z] * d for _ in range(d)], backend)
+        return cls.from_entries(basis, {}, backend)
 
     @classmethod
     def from_entries(cls, basis, entries, backend="exact"):
@@ -72,23 +71,13 @@ class BilinearForm:
 
     def pairs(self):
         """Index pairs with nonzero entries."""
-        return self._pairs
+        return tuple((i, j) for i, j, _ in self._entries)
 
     def apply(self, v: Element, w: Element):
         """Evaluate the form on two degree<=1 elements (constants pair to 0)."""
         total = scalars.zero(self.backend)
-        for ev, cv in v.terms.items():
-            if sum(ev) != 1:
-                if sum(ev) == 0:
-                    continue
-                raise DomainError("form evaluation requires degree <= 1 elements")
-            i = ev.index(1)
-            for ew, cw in w.terms.items():
-                if sum(ew) != 1:
-                    if sum(ew) == 0:
-                        continue
-                    raise DomainError("form evaluation requires degree <= 1 elements")
-                j = ew.index(1)
+        for i, cv in _linear_terms(v):
+            for j, cw in _linear_terms(w):
                 total = total + cv * cw * self.matrix[i][j]
         return total
 
@@ -96,53 +85,33 @@ class BilinearForm:
         return self == transpose_graded(self)
 
     def is_graded_antisymmetric(self) -> bool:
-        t = transpose_graded(self)
+        t = transpose_graded(self).matrix
         return all(
-            self.matrix[i][j] == -t.matrix[i][j]
-            for i in range(self.basis.dimension)
-            for j in range(self.basis.dimension)
+            c == -tc for row, trow in zip(self.matrix, t) for c, tc in zip(row, trow)
         )
+
+    def _entrywise(self, f, *others):
+        """The form whose (i, j) entry is f of the (i, j) entries of self and others."""
+        for other in others:
+            require_same_basis(self, other)
+        rows = [
+            [f(*cs) for cs in zip(*row_group)]
+            for row_group in zip(self.matrix, *(o.matrix for o in others))
+        ]
+        return BilinearForm(self.basis, rows, self.backend)
 
     def __add__(self, other):
-        require_same_basis(self, other)
-        d = self.basis.dimension
-        return BilinearForm(
-            self.basis,
-            [
-                [self.matrix[i][j] + other.matrix[i][j] for j in range(d)]
-                for i in range(d)
-            ],
-            self.backend,
-        )
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other):
-        require_same_basis(self, other)
-        d = self.basis.dimension
-        return BilinearForm(
-            self.basis,
-            [
-                [self.matrix[i][j] - other.matrix[i][j] for j in range(d)]
-                for i in range(d)
-            ],
-            self.backend,
-        )
+        return self._entrywise(operator.sub, other)
 
     def scale(self, value):
-        d = self.basis.dimension
-        return BilinearForm(
-            self.basis,
-            [[self.matrix[i][j] * value for j in range(d)] for i in range(d)],
-            self.backend,
-        )
+        return self._entrywise(lambda c: c * value)
 
     def conjugate(self):
         """Entrywise conjugate; generators are treated as real vectors."""
-        d = self.basis.dimension
-        return BilinearForm(
-            self.basis,
-            [[self.matrix[i][j].conjugate() for j in range(d)] for i in range(d)],
-            self.backend,
-        )
+        return self._entrywise(lambda c: c.conjugate())
 
     def __eq__(self, other):
         if not isinstance(other, BilinearForm):
@@ -160,20 +129,39 @@ class BilinearForm:
         return f"BilinearForm({self.matrix!r})"
 
 
+def _linear_terms(a: Element):
+    """(generator index, coefficient) of each degree-1 term of a degree<=1 element."""
+    for e, c in a.terms.items():
+        n = sum(e)
+        if n > 1:
+            raise DomainError("form evaluation requires degree <= 1 elements")
+        if n:
+            yield e.index(1), c
+
+
+def _graded(form: BilinearForm):
+    """(graded transpose, plus, minus) of the form, built on first use and kept on it."""
+    parts = form._graded_parts
+    if parts is None:
+        b, m = form.basis, form.matrix
+        d = b.dimension
+        t = BilinearForm(
+            b,
+            [
+                [-m[j][i] if b.parity(i) and b.parity(j) else m[j][i] for j in range(d)]
+                for i in range(d)
+            ],
+            form.backend,
+        )
+        half = Fraction(1, 2)
+        plus = form._entrywise(lambda c, tc: scalars.mul_rat(form.backend, c + tc, half), t)
+        parts = form._graded_parts = (t, plus, form - plus)
+    return parts
+
+
 def transpose_graded(form: BilinearForm) -> BilinearForm:
     """The form composed with the graded flip: (v, w) -> (-1)^{vw} form(w, v)."""
-    b = form.basis
-    d = b.dimension
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            c = form.matrix[j][i]
-            if b.parity(i) and b.parity(j):
-                c = -c
-            row.append(c)
-        rows.append(row)
-    return BilinearForm(b, rows, form.backend)
+    return _graded(form)[0]
 
 
 def lambda_parts(form: BilinearForm):
@@ -185,19 +173,7 @@ def lambda_parts(form: BilinearForm):
     the *antisymmetric* part (this is what feeds the Poisson bracket and
     the Clifford relations).
     """
-    t = transpose_graded(form)
-    d = form.basis.dimension
-    half = Fraction(1, 2)
-    plus_rows = [
-        [
-            scalars.mul_rat(form.backend, form.matrix[i][j] + t.matrix[i][j], half)
-            for j in range(d)
-        ]
-        for i in range(d)
-    ]
-    plus = BilinearForm(form.basis, plus_rows, form.backend)
-    minus = form - plus
-    return plus, minus
+    return _graded(form)[1:]
 
 
 class TensorPair:
@@ -227,10 +203,7 @@ class TensorPair:
         return TensorPair(self.basis, self.backend, terms)
 
     def __sub__(self, other):
-        terms = dict(self.terms)
-        for k, c in other.terms.items():
-            _accumulate(terms, k, -c)
-        return TensorPair(self.basis, self.backend, terms)
+        return self + other.scale(-1)
 
     def scale(self, value):
         if not value:
@@ -322,7 +295,7 @@ def delta_g(a: Element, g: BilinearForm) -> Element:
     require_same_basis(a, g)
     if not g.is_graded_symmetric():
         raise DomainError("the form must be graded-symmetric")
-    entries = tuple((i, j, g.matrix[i][j]) for (i, j) in g.pairs() if i <= j)
+    entries = tuple((i, j, c) for i, j, c in g._entries if i <= j)
     terms = K.laplace_bulk(a.terms, entries, a.basis.odd_mask)
     return Element(a.basis, a.backend, terms)
 
@@ -338,14 +311,10 @@ def sharp(v: Element, form: BilinearForm):
         if sum(e) != 1:
             raise DomainError("sharp requires a homogeneous degree-1 element")
     _, minus = lambda_parts(form)
-    out = {}
-    for j, name in enumerate(form.basis.names):
-        total = scalars.zero(form.backend)
-        for e, c in v.terms.items():
-            i = e.index(1)
-            total = total + c * minus.matrix[i][j]
-        out[name] = total
-    return out
+    return {
+        name: minus.apply(v, Element.generator(form.basis, name, form.backend))
+        for name in form.basis.names
+    }
 
 
 def is_poisson_map(A, form_v: BilinearForm, form_w: BilinearForm) -> bool:
@@ -366,15 +335,8 @@ def is_poisson_map(A, form_v: BilinearForm, form_w: BilinearForm) -> bool:
     for c1 in range(bv.dimension):
         for c2 in range(bv.dimension):
             total = scalars.zero(form_v.backend)
-            for r1 in range(bw.dimension):
-                a1 = rows[r1][c1]
-                if not a1:
-                    continue
-                for r2 in range(bw.dimension):
-                    a2 = rows[r2][c2]
-                    if not a2:
-                        continue
-                    total = total + a1 * a2 * form_w.matrix[r1][r2]
+            for r1, r2, c in form_w._entries:
+                total = total + rows[r1][c1] * rows[r2][c2] * c
             if total != form_v.matrix[c1][c2]:
                 return False
     return True

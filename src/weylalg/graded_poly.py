@@ -7,16 +7,15 @@ multiplied into the coefficient, so equality of elements is a plain map
 comparison.  Zero coefficients are never stored.
 
 No hard degree cap is imposed; products cost O(#terms^2) monomial
-merges, and the ordered-tensor expansion (``ordered_coefficients``)
-grows like O(#terms^2 * degree!) in the worst case, which is why it is
-materialized lazily per degree and never used for storage.  All values
-are immutable after construction and every operation is a pure function,
-safe for concurrent use.
+merges, and the ordered-tensor expansion (``ordered_coefficients``) has
+one tuple per distinct ordering of a monomial's generators, up to
+degree! of them, which is why it is materialized lazily per degree and
+never used for storage.  All values are immutable after construction and
+every operation is a pure function, safe for concurrent use.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 
@@ -282,11 +281,7 @@ class Element:
                 canonical.extend([i] * k)
                 if self.basis.is_even(i):
                     repeat *= math.factorial(k)
-            base = (
-                scalars.mul_rat(self.backend, c, Fraction(repeat, math.factorial(n)))
-                if n
-                else c
-            )
+            base = scalars.mul_rat(self.backend, c, Fraction(repeat, math.factorial(n)))
             for tup in _distinct_permutations(tuple(canonical)):
                 sign = _koszul_sort_sign(tup, self.basis)
                 names = tuple(self.basis.names[i] for i in tup)
@@ -317,11 +312,20 @@ def _accumulate(terms, key, c):
 
 
 def _distinct_permutations(items):
-    seen = set()
-    for p in itertools.permutations(items):
-        if p not in seen:
-            seen.add(p)
-            yield p
+    """The distinct orderings of a sorted tuple, each the lexicographic successor of the last."""
+    p = list(items)
+    while True:
+        yield tuple(p)
+        i = len(p) - 2
+        while i >= 0 and p[i] >= p[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(p) - 1
+        while p[j] <= p[i]:
+            j -= 1
+        p[i], p[j] = p[j], p[i]
+        p[i + 1 :] = reversed(p[i + 1 :])
 
 
 def _koszul_sort_sign(tup, basis):

@@ -60,25 +60,16 @@ def random_element(
 
 def random_even_form(rng, basis, backend="exact", complex_parts=False) -> BilinearForm:
     """A random even bilinear form (parity-block structure enforced)."""
-    d = basis.dimension
-    rows = [[scalars.zero(backend)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(d):
-            if basis.parity(i) == basis.parity(j):
-                rows[i][j] = random_scalar(rng, backend, complex_parts)
-    return BilinearForm(basis, rows, backend)
+    return BilinearForm(basis, random_parity_matrix(rng, basis, backend, complex_parts), backend)
 
 
 def random_graded_symmetric_form(rng, basis, backend="exact", complex_parts=False):
     """A random graded-symmetric even form (a valid equivalence generator)."""
-    raw = random_even_form(rng, basis, backend, complex_parts)
-    plus, _ = lambda_parts(raw)
-    return plus
+    return lambda_parts(random_even_form(rng, basis, backend, complex_parts))[0]
 
 
 def random_graded_antisymmetric_form(rng, basis, backend="exact", complex_parts=False):
-    _, minus = lambda_parts(random_even_form(rng, basis, backend, complex_parts))
-    return minus
+    return lambda_parts(random_even_form(rng, basis, backend, complex_parts))[1]
 
 
 def random_involutive_form(rng, basis, holds: bool) -> BilinearForm:
@@ -95,22 +86,18 @@ def random_involutive_form(rng, basis, holds: bool) -> BilinearForm:
         return good
     while True:
         bad = random_graded_symmetric_form(rng, basis)
-        if any(
-            bad.matrix[i][j]
-            for i in range(basis.dimension)
-            for j in range(basis.dimension)
-        ):
+        if bad.pairs():
             return good + bad
 
 
-def random_parity_matrix(rng, basis, backend="exact"):
+def random_parity_matrix(rng, basis, backend="exact", complex_parts=False):
     """A random parity-preserving matrix over the basis."""
     d = basis.dimension
     rows = [[scalars.zero(backend)] * d for _ in range(d)]
     for r in range(d):
         for c in range(d):
             if basis.parity(r) == basis.parity(c):
-                rows[r][c] = random_scalar(rng, backend)
+                rows[r][c] = random_scalar(rng, backend, complex_parts)
     return rows
 
 

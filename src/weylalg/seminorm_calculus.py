@@ -169,13 +169,31 @@ def wick_epsilon_norm(a: Element, eps: float):
         for i, k in enumerate(e):
             if k and not a.basis.is_even(i):
                 raise DomainError("element contains odd generators")
-        taylor = abs(c)
-        for k in e:
-            taylor *= math.factorial(k)
         n = sum(e)
-        v = taylor / math.factorial(n) ** eps
+        v = _direct_or(
+            lambda: math.prod(map(math.factorial, e), start=abs(c)) / math.factorial(n) ** eps,
+            lambda: _exp_in_range(
+                math.log(abs(c)) + sum(math.lgamma(k + 1) for k in e) - eps * math.lgamma(n + 1),
+                f"the Taylor weight of a degree-{n} term",
+            ),
+        )
         best = max(best, v)
     return best
+
+
+def _direct_or(direct, fallback) -> float:
+    """direct() while it and its intermediates fit binary64, else fallback()."""
+    try:
+        v = direct()
+    except OverflowError:
+        v = math.inf
+    return v if math.isfinite(v) else fallback()
+
+
+def _exp_in_range(log_v: float, what: str) -> float:
+    if log_v >= LOG_FLOAT_MAX:
+        raise RefusedPreconditionError(f"{what} exceeds binary64")
+    return math.exp(log_v)
 
 
 def _to_float_element(a: Element) -> Element:
@@ -200,11 +218,17 @@ def ommy_norm_upper(a: Element, p_param: float, s: float, seed: int = 0, samples
     p = WeightedSeminorm.unit(a.basis)
     upper = 0.0
     for n, part in a.grade_components().items():
-        if n == 0:
-            bound = 1.0
-        else:
-            bound = (n / (s * p_param)) ** (n / p_param) * math.exp(-n / p_param)
-        upper += pn_seminorm(part, n, p) * bound
+        pn = pn_seminorm(part, n, p)
+        # at n = 0 the bound is 0.0 ** 0.0 * exp(-0.0) = 1.0
+        upper += _direct_or(
+            lambda: pn * ((n / (s * p_param)) ** (n / p_param) * math.exp(-n / p_param)),
+            lambda: _exp_in_range(
+                math.log(pn) + n / p_param * (math.log(n / (s * p_param)) - 1),
+                f"the degree-{n} bound",
+            ),
+        )
+    if upper == math.inf:
+        raise RefusedPreconditionError("the sup-seminorm upper bound exceeds binary64")
     rng = random.Random(seed)
     af = _to_float_element(a)
     names = [a.basis.names[i] for i in a.basis.even_indices()]
@@ -221,9 +245,24 @@ def ommy_norm_upper(a: Element, p_param: float, s: float, seed: int = 0, samples
             norm2 += abs(x) ** 2
         scale = radius / math.sqrt(norm2) if norm2 else 0.0
         point = {k: v * scale for k, v in point.items()}
-        val = abs(af.evaluate(point)) * math.exp(-s * radius**p_param)
+        val = _direct_or(
+            lambda: abs(af.evaluate(point)) * math.exp(-s * radius**p_param),
+            lambda: _damped_value_in_log_space(af, point, radius, p_param, s),
+        )
         lower = max(lower, val)
     return {"upper": upper, "lower": lower, "p": p_param, "s": s}
+
+
+def _damped_value_in_log_space(af: Element, point, radius, p_param, s):
+    """|a(x)| e^{-s r^p} at |x| = r > 0, each monomial's |c| r^n e^{-s r^p} taken
+    in log space; that factor is at most |c| times the degree-n bound."""
+    direction = [point[name] / radius for name in af.basis.names]
+    log_r, damp = math.log(radius), s * radius**p_param
+    total = 0j
+    for e, c in af.terms.items():
+        mono = math.prod(u**k for u, k in zip(direction, e))
+        total += c / abs(c) * mono * math.exp(math.log(abs(c)) + sum(e) * log_r - damp)
+    return abs(total)
 
 
 @dataclass
@@ -438,18 +477,23 @@ class KotheMatrix:
         return total
 
     def entry(self, i: int, j: int):
+        """Exact for an integer R (refused past the int-str digit limit), else binary64."""
         p, R = self.columns[j]
         n = self.degrees[i]
         if R.denominator == 1:
+            fact_digits = math.lgamma(n + 1) / math.log(10)
+            ws = [(k, p.weights[g]) for g, k in enumerate(self.rows[i]) if k]
+            num = max(R, 0) * fact_digits + sum(k * math.log10(w.numerator) for k, w in ws)
+            den = max(-R, 0) * fact_digits + sum(k * math.log10(w.denominator) for k, w in ws)
+            limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+            if max(num, den) >= limit:
+                raise RefusedPreconditionError(
+                    f"the exact entry of degree {n} in column {j} passes {limit} digits"
+                )
             return Fraction(math.factorial(n)) ** R.numerator * p.monomial_weight(
                 self.rows[i]
             )
-        try:
-            return math.exp(self.log_entry(i, j))
-        except OverflowError:
-            raise RefusedPreconditionError(
-                f"the entry of degree {n} in column {j} exceeds binary64"
-            ) from None
+        return _exp_in_range(self.log_entry(i, j), f"the entry of degree {n} in column {j}")
 
     @property
     def shape(self):

@@ -405,6 +405,8 @@ def test_float_overflow_uses_log_space(capsys, monkeypatch):
         (["divergence", "--eps", "0.25", "--L", "200"], None),
         (["divergence", "--eps", "0.25", "--hbar", "1e10", "--L", "40"], None),
         (["kothe", "--n-max", "200", "--format", "csv"], None),
+        (["kothe", "--eps", "1", "--n-max", "1600", "--format", "csv"], None),
+        (["kothe", "--eps", "1", "--n-max", "1600"], None),
     ],
     ids=[
         "exp-coefficient-subnormal",
@@ -416,6 +418,8 @@ def test_float_overflow_uses_log_space(capsys, monkeypatch):
         "divergence-L200",
         "divergence-hbar1e10",
         "kothe-entry-beyond-binary64",
+        "kothe-exact-entry-past-int-str-limit-csv",
+        "kothe-exact-entry-past-int-str-limit-json",
     ],
 )
 def test_values_beyond_binary64_are_refused(args, doc, capsys, monkeypatch):

@@ -1,6 +1,7 @@
 """Graded polynomial algebra: examples, oracles and invariants."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,14 @@ def test_ordered_coefficients_examples():
         ("e1", "e2"): half,
         ("e2", "e1"): -half,
     }
+
+
+def test_ordered_coefficients_walks_distinct_orderings_only():
+    # q^12 has one distinct ordering; walking all 12! would take minutes
+    start = time.perf_counter()
+    coeffs = ordered_coefficients(Q**12, 12)
+    assert time.perf_counter() - start < 1.0
+    assert coeffs == {("q",) * 12: QC(1)}
 
 
 def test_ordered_coefficients_round_trip():

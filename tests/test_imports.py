@@ -1,7 +1,11 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and no private
+function or class in the package is dead.
 
-No linter ships with the project, so this scan stands in for one.  The
-package ``__init__`` is exempt: its imports are the public API.
+No linter ships with the project, so these scans stand in for one.  The
+package ``__init__`` is exempt from the import scan: its imports are the
+public API.  A private name (one leading underscore, not a dunder) defined
+anywhere in ``src/weylalg`` must be referenced, by name or as an
+attribute, somewhere in ``src/weylalg`` other than its own definition.
 """
 
 import ast
@@ -33,3 +37,19 @@ def test_every_import_is_used():
     assert files
     unused = [entry for path in files for entry in _unused_imports(path)]
     assert unused == []
+
+
+def test_every_private_function_is_referenced():
+    defined, referenced = {}, set()
+    for path in sorted((ROOT / "src" / "weylalg").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined[node.name] = f"{path.name}:{node.lineno}"
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert defined
+    dead = [f"{where} {name}" for name, where in defined.items() if name not in referenced]
+    assert dead == []

@@ -26,6 +26,7 @@ from weylalg import (
 )
 from weylalg.bilinear_forms import TensorPair, p_lambda
 from weylalg.randoms import default_basis, random_element, random_even_form
+from weylalg.seminorm_calculus import _damped_value_in_log_space, _to_float_element
 
 B = default_basis()
 Q = Element.generator(B, "q")
@@ -173,6 +174,32 @@ def test_ommy_examples_and_bounds():
             assert rep["upper"] <= dom * (1 + 1e-9)
     with pytest.raises(DomainError):
         ommy_norm_upper(q1, 3, 1)
+
+
+def test_seminorm_helpers_take_log_space_where_only_an_intermediate_overflows():
+    b1 = GeneratorBasis(("q",), ("even",))
+    q1 = Element.generator(b1, "q")
+    # 200! and 171!^(1/2) overflow binary64; the damped weights do not
+    assert wick_epsilon_norm(q1**200, 1) == 1.0
+    assert wick_epsilon_norm(q1**171, 0.5) == pytest.approx(
+        math.exp(math.lgamma(172) / 2), rel=1e-12
+    )
+    # 10^400 overflows; the bound 10^400 e^-400 does not, nor any sample
+    rep = ommy_norm_upper(q1**400, 1, 40)
+    assert rep["upper"] == pytest.approx(math.exp(400 * (math.log(10) - 1)), rel=1e-12)
+    assert 0 < rep["lower"] <= rep["upper"]
+    # the log-space sample value agrees with the direct one where both fit
+    a = random_element(random.Random(3), b1, max_degree=6, n_terms=4)
+    af = _to_float_element(a)
+    u, r = complex(0.6, -0.8), 2.5
+    direct = abs(af.evaluate({"q": u * r})) * math.exp(-0.5 * r**1.5)
+    assert _damped_value_in_log_space(af, {"q": u * r}, r, 1.5, 0.5) == pytest.approx(
+        direct, rel=1e-12
+    )
+    with pytest.raises(RefusedPreconditionError):
+        wick_epsilon_norm(q1**400, 0.1)
+    with pytest.raises(RefusedPreconditionError):
+        ommy_norm_upper(q1**400, 1, 0.01)
 
 
 def test_product_estimate_examples():

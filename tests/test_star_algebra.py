@@ -180,6 +180,28 @@ def test_bracket_graded_antisymmetry_leibniz_jacobi():
                     assert lhs3 == t1 + t2
 
 
+def test_forms_keep_their_graded_parts(monkeypatch):
+    # the bracket and Delta_g read derived parts kept on the form, so
+    # repeated calls build no forms; only g's own parts are new below
+    rng = random.Random(44)
+    form = random_even_form(rng, B)
+    a, b = random_element(rng, B), random_element(rng, B)
+    first = poisson_bracket(a, b, form)
+    g, _ = lambda_parts(form)
+    built = []
+    init = BilinearForm.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(BilinearForm, "__init__", counting_init)
+    for _ in range(19):
+        assert poisson_bracket(a, b, form) == first
+    equivalence_transform(a, QC(Fraction(1, 3)), g)
+    assert len(built) <= 3
+
+
 def test_graded_commutator_examples():
     z = QC(Fraction(2, 3))
     assert graded_commutator(Q, P, z, DARBOUX) == ONE.scale(z * 2)
