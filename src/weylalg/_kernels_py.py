@@ -5,6 +5,12 @@ nonnegative integers (odd generators carry exponent 0 or 1).  ``odd_mask``
 is the bitmask of odd generator indices.  Koszul signs are returned as
 plain ints (+1/-1) multiplied into combinatorial multiplicities; scalar
 coefficient arithmetic stays with the caller.
+
+The kernels need only ``*``, ``+``, unary ``-`` and truth testing of the
+coefficients, and combinatorial multiplicities enter as ints.  So one
+loop serves any coefficient ring: ``QC`` or ``complex`` values, and the
+Python-int numerators on which ``star_algebra`` runs its exact products,
+calling a kernel once per real or imaginary part of each operand.
 """
 
 from __future__ import annotations

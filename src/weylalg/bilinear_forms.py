@@ -190,11 +190,7 @@ class TensorPair:
     def of(cls, a: Element, b: Element):
         """The simple tensor a (x) b."""
         require_same_basis(a, b)
-        terms = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                _accumulate(terms, (e1, e2), c1 * c2)
-        return cls(a.basis, a.backend, terms)
+        return cls(a.basis, a.backend, _tensor_terms(a.terms, b.terms))
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -262,6 +258,17 @@ class TensorPair:
         return f"TensorPair({self.terms!r})"
 
 
+def _tensor_terms(t1, t2):
+    """The term map {(e1, e2): c1 c2} of the tensor of two term maps, without zeros."""
+    terms = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            c = c1 * c2
+            if c:
+                terms[(e1, e2)] = c
+    return terms
+
+
 def p_lambda(u: TensorPair, form: BilinearForm) -> TensorPair:
     """One contraction step: pair one slot of each leg through the form.
 
@@ -293,11 +300,15 @@ def delta_g(a: Element, g: BilinearForm) -> Element:
     lowers the tensor degree by two.
     """
     require_same_basis(a, g)
+    terms = K.laplace_bulk(a.terms, _laplace_entries(g), a.basis.odd_mask)
+    return Element(a.basis, a.backend, terms)
+
+
+def _laplace_entries(g: BilinearForm):
+    """The entries (i, j, c) with i <= j that Delta_g reads; g must be graded-symmetric."""
     if not g.is_graded_symmetric():
         raise DomainError("the form must be graded-symmetric")
-    entries = tuple((i, j, c) for i, j, c in g._entries if i <= j)
-    terms = K.laplace_bulk(a.terms, entries, a.basis.odd_mask)
-    return Element(a.basis, a.backend, terms)
+    return tuple((i, j, c) for i, j, c in g._entries if i <= j)
 
 
 def sharp(v: Element, form: BilinearForm):

@@ -11,7 +11,11 @@ Two coefficient backends are supported throughout the package:
 The rational parts are :class:`fractions.Fraction`.  Callers use
 ``.conjugate()``, ``abs()``, ``complex()`` and truth testing directly; only
 what depends on the backend lives here (:func:`coerce`, :func:`from_rational`,
-:func:`mul_rat`, :func:`abs_exact`).
+:func:`mul_rat`, :func:`abs_exact`, :func:`log_abs`).  Bulk exact arithmetic
+leaves ``QC`` at one boundary: :func:`numerators` turns a map of exact
+scalars into integer numerators over one shared denominator, and
+:func:`from_numerators` builds the ``QC`` values back, reducing each
+fraction once.
 """
 
 from __future__ import annotations
@@ -213,3 +217,65 @@ def mul_rat(backend: str, x, q):
     if backend == "exact":
         return x * Fraction(q)
     return x * float(Fraction(q))
+
+
+def log_abs(x) -> float:
+    """log|x| of a nonzero scalar.
+
+    On the exact backend it is taken from the rational parts as
+    log(numerator) - log(denominator), so it is finite even where |x|
+    itself under- or overflows binary64.
+    """
+    if isinstance(x, QC):
+        return _log_ratio(abs(x.re)) if not x.im else _log_ratio(x.abs2()) / 2
+    if isinstance(x, _RAT_TYPES):
+        return _log_ratio(abs(Fraction(x)))
+    return math.log(abs(x))
+
+
+def _log_ratio(q: Fraction) -> float:
+    return math.log(q.numerator) - math.log(q.denominator)
+
+
+def numerators(values):
+    """Exact scalars as Python-int numerators over one positive denominator.
+
+    ``values`` maps keys to ``QC``, ``int`` or ``Fraction``.  Returns
+    ``(den, parts)``: ``parts`` is ``(re,)`` when every imaginary part is
+    0, else ``(re, im)``, each a map from the keys whose part is nonzero to
+    its numerator, in the order of ``values``.
+    """
+    re, im, dens = {}, {}, []
+    for k, c in values.items():
+        if isinstance(c, QC):
+            n, d = c.re.as_integer_ratio()
+            m, e = c.im.as_integer_ratio()
+            if m:
+                im[k] = m, e
+                dens.append(e)
+        else:
+            n, d = c.as_integer_ratio()
+        if n:
+            re[k] = n, d
+            dens.append(d)
+    den = math.lcm(*dens)
+    re = {k: n * (den // d) for k, (n, d) in re.items()}
+    if not im:
+        return den, (re,)
+    return den, (re, {k: n * (den // d) for k, (n, d) in im.items()})
+
+
+def from_numerators(den, re, im):
+    """The map key -> QC(re[key]/den, im[key]/den) of integer numerator maps.
+
+    Keys follow ``re``, then the keys only in ``im``; a missing key is a
+    zero part.  Each Fraction is built, and so reduced, once.
+    """
+    out = {}
+    for k, n in re.items():
+        m = im.get(k)
+        out[k] = QC._mk(Fraction(n, den), Fraction(m, den) if m else _ZERO)
+    for k, m in im.items():
+        if k not in re:
+            out[k] = QC._mk(_ZERO, Fraction(m, den))
+    return out

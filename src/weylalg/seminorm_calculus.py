@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import random
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import scalars
@@ -171,9 +170,10 @@ def wick_epsilon_norm(a: Element, eps: float):
                 raise DomainError("element contains odd generators")
         n = sum(e)
         v = _direct_or(
-            lambda: math.prod(map(math.factorial, e), start=abs(c)) / math.factorial(n) ** eps,
+            lambda: math.prod(map(math.factorial, e), start=_normal_abs(c))
+            / math.factorial(n) ** eps,
             lambda: _exp_in_range(
-                math.log(abs(c)) + sum(math.lgamma(k + 1) for k in e) - eps * math.lgamma(n + 1),
+                scalars.log_abs(c) + sum(math.lgamma(k + 1) for k in e) - eps * math.lgamma(n + 1),
                 f"the Taylor weight of a degree-{n} term",
             ),
         )
@@ -188,6 +188,16 @@ def _direct_or(direct, fallback) -> float:
     except OverflowError:
         v = math.inf
     return v if math.isfinite(v) else fallback()
+
+
+def _normal_abs(c) -> float:
+    """|c| where it is a normal binary64 value (or c is 0), else nan.
+
+    A nonzero |c| that underflows carries too little of its value for a
+    direct form; nan sends ``_direct_or`` to the log-space fallback.
+    """
+    m = abs(c)
+    return m if m >= FLOAT_MIN or not c else math.nan
 
 
 def _exp_in_range(log_v: float, what: str) -> float:
@@ -265,13 +275,17 @@ def _damped_value_in_log_space(af: Element, point, radius, p_param, s):
     return abs(total)
 
 
-@dataclass
 class EstimateReport:
-    lhs: object
-    rhs: object
-    constants: dict
-    holds: bool
-    witness: dict = field(default_factory=dict)
+    """The two sides of an estimate, its constants, verdict and witness."""
+
+    __slots__ = ("lhs", "rhs", "constants", "holds", "witness")
+
+    def __init__(self, lhs, rhs, constants: dict, holds: bool, witness: dict | None = None):
+        self.lhs = lhs
+        self.rhs = rhs
+        self.constants = constants
+        self.holds = holds
+        self.witness = {} if witness is None else witness
 
     def to_dict(self):
         return {

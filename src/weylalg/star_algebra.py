@@ -8,10 +8,19 @@ graded-antisymmetric part of the form; note the resulting factor 2 in
 {q, p} = 2 for the Darboux pairing q p = 1 (the sharp map satisfies
 2 v-sharp = phi for inner derivations, consistently).
 
-Long products are internally just k-term sums with a deterministic
-reduction order, so results on the exact backend are bit-identical
-regardless of evaluation schedule; every function is pure and
-thread-safe.
+On the exact backend, ``star``, ``poisson_bracket`` and
+``equivalence_transform`` leave ``QC`` at entry: the operands, the form
+entries and z become Python-int numerators over one positive denominator
+each (``scalars.numerators``), a real part and, only where some imaginary
+part is nonzero, an imaginary part.  The monomial kernels run on those
+ints, at most four calls per contraction step (real and imaginary parts
+of operand and form), and z^k/k! with the form's denominator power is
+folded into one shared output denominator.  Each output coefficient is
+reduced by a gcd once, when it is built.  The float backend runs the same
+loop on its complex coefficients over the denominator 1, in the order of
+operations of the plain series, so its values are that series' bit for
+bit.  Exact results are literal values, independent of any evaluation
+order; every function is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -19,10 +28,11 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import _kernels_py as K
 from . import scalars
 from .basis import require_same_basis
-from .bilinear_forms import BilinearForm, TensorPair, delta_g, lambda_parts, p_lambda
-from .errors import BasisMismatchError, DomainError, ParityBlockError
+from .bilinear_forms import BilinearForm, _laplace_entries, _tensor_terms, lambda_parts
+from .errors import DomainError, ParityBlockError
 from .graded_poly import Element, _accumulate
 
 
@@ -33,22 +43,17 @@ def star(a: Element, b: Element, z, form: BilinearForm) -> Element:
     is associative, unital and graded for every scalar z.
     """
     require_same_basis(a, b)
-    if a.basis != form.basis:
-        raise BasisMismatchError("form over a different basis")
-    z = scalars.coerce(a.backend, z)
-    out = Element.zero(a.basis, a.backend)
-    u = TensorPair.of(a, b)
-    k = 0
-    zk = scalars.one(a.backend)
-    while u:
-        term = u.multiply()
-        if term:
-            coeff = scalars.mul_rat(a.backend, zk, Fraction(1, math.factorial(k)))
-            out = out + term.scale(coeff)
-        u = p_lambda(u, form)
-        k += 1
-        zk = zk * z
-    return out
+    require_same_basis(a, form)
+    mask = a.basis.odd_mask
+    da, xs = _parts(a.backend, a.terms)
+    db, ys = _parts(a.backend, b.terms)
+    dl, lam = _entry_parts(a.backend, form._entries)
+    u = _bilinear(_tensor_terms, xs, ys)
+    steps = []
+    while any(u):
+        steps.append(tuple(K.mu_terms(t, mask) for t in u))
+        u = _bilinear(lambda t, e: K.contract_terms(t, e, mask), u, lam)
+    return _exp_sum(a, z, steps, da * db, dl)
 
 
 def star_hbar(a: Element, b: Element, hbar, form: BilinearForm) -> Element:
@@ -61,9 +66,17 @@ def star_hbar(a: Element, b: Element, hbar, form: BilinearForm) -> Element:
 def poisson_bracket(a: Element, b: Element, form: BilinearForm) -> Element:
     """{a, b} = 2 mu(P_minus(a (x) b)); a graded biderivation satisfying Jacobi."""
     require_same_basis(a, b)
+    require_same_basis(a, form)
     _, minus = lambda_parts(form)
-    u = p_lambda(TensorPair.of(a, b), minus)
-    return u.multiply().scale(2)
+    mask = a.basis.odd_mask
+    da, xs = _parts(a.backend, a.terms)
+    db, ys = _parts(a.backend, b.terms)
+    dm, lam = _entry_parts(a.backend, minus._entries)
+    u = _bilinear(
+        lambda t, e: K.contract_terms(t, e, mask), _bilinear(_tensor_terms, xs, ys), lam
+    )
+    steps = [tuple(K.mu_terms(t, mask) for t in u)]
+    return _element(a, steps, [_scalar_parts(a.backend, 2)[1]], da * db * dm)
 
 
 def graded_commutator(a: Element, b: Element, z, form: BilinearForm) -> Element:
@@ -91,18 +104,120 @@ def equivalence_transform(a: Element, z, g: BilinearForm) -> Element:
     Intertwines the star products of two forms differing by the
     graded-symmetric g, whenever their antisymmetric parts agree.
     """
-    z = scalars.coerce(a.backend, z)
-    out = Element.zero(a.basis, a.backend)
-    cur = a
-    k = 0
-    zk = scalars.one(a.backend)
-    while cur:
-        coeff = scalars.mul_rat(a.backend, zk, Fraction(1, math.factorial(k)))
-        out = out + cur.scale(coeff)
-        cur = delta_g(cur, g)
-        k += 1
-        zk = zk * z
-    return out
+    require_same_basis(a, g)
+    mask = a.basis.odd_mask
+    da, cur = _parts(a.backend, a.terms)
+    dg, gam = _entry_parts(a.backend, _laplace_entries(g))
+    steps = []
+    while any(cur):
+        steps.append(cur)
+        cur = _bilinear(lambda t, e: K.laplace_bulk(t, e, mask), cur, gam)
+    return _exp_sum(a, z, steps, da, dg)
+
+
+# -- integer numerators ----------------------------------------------------
+#
+# A value is a tuple of its parts: (re,) when it is real, else (re, im).
+# On the exact backend the parts hold Python ints, numerators over a
+# denominator kept beside them; on the float backend a value is its one
+# part of complex coefficients over the denominator 1.
+
+
+def _parts(backend, values):
+    """(denominator, parts) of a map of scalars (see ``scalars.numerators``)."""
+    if backend == "exact":
+        return scalars.numerators(values)
+    return 1, (values,)
+
+
+def _entry_parts(backend, entries):
+    """(denominator, parts) of form entries (i, j, c), each part a list of entries."""
+    den, parts = _parts(backend, {(i, j): c for i, j, c in entries})
+    return den, tuple([(i, j, c) for (i, j), c in p.items()] for p in parts)
+
+
+def _scalar_parts(backend, x):
+    """(denominator, parts) of one scalar, each part a number."""
+    den, parts = _parts(backend, {0: scalars.coerce(backend, x)})
+    return den, tuple(p.get(0, 0) for p in parts)
+
+
+def _bilinear(f, xs, ys):
+    """The parts of f(x, y) for a bilinear f, from the parts of x and y.
+
+    One call of f per pair of parts; an imaginary part that comes out
+    zero is dropped, so real inputs stay on one part.
+    """
+    if len(xs) == 1 or len(ys) == 1:
+        parts = [f(x, y) for x in xs for y in ys]
+    else:
+        (xr, xi), (yr, yi) = xs, ys
+        parts = [_merge(f(xr, yr), f(xi, yi), -1), _merge(f(xr, yi), f(xi, yr), 1)]
+    return tuple(parts if parts[-1] else parts[:1])
+
+
+def _merge(terms, other, sign):
+    """terms + sign * other, in place in ``terms``."""
+    for key, c in other.items():
+        _accumulate(terms, key, c if sign > 0 else -c)
+    return terms
+
+
+def _gauss_mul(x, y):
+    """Product of two Gaussian integers given as (re,) or (re, im)."""
+    if len(x) == 1 or len(y) == 1:
+        return tuple(p * q for p in x for q in y)
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _exp_sum(a: Element, z, steps, den, step_den) -> Element:
+    """sum_k z^k/k! steps[k] / (den * step_den^k), an Element like a.
+
+    On the exact backend, with z = Z/dz and n the last k, the k-th weight
+    is the Gaussian integer Z^k (n!/k!) (dz step_den)^(n-k) over the one
+    denominator den n! (dz step_den)^n.  On the float backend it is
+    z^k * (1/k!) as the plain series computes it.
+    """
+    dz, zp = _scalar_parts(a.backend, z)
+    weights = []
+    if a.backend == "exact":
+        s = dz * step_den
+        scale = [1]
+        for k in range(len(steps) - 1, 0, -1):
+            scale.append(scale[-1] * k * s)
+        scale.reverse()
+        zk = (1,)
+        for c in scale:
+            weights.append(tuple(x * c for x in zk))
+            zk = _gauss_mul(zk, zp)
+        den *= scale[0]
+    else:
+        zk = scalars.one(a.backend)
+        for k in range(len(steps)):
+            weights.append((scalars.mul_rat(a.backend, zk, Fraction(1, math.factorial(k))),))
+            zk = zk * zp[0]
+    return _element(a, steps, weights, den)
+
+
+def _element(a: Element, steps, weights, den) -> Element:
+    """The Element sum_k weights[k] steps[k] / den over a's basis and backend.
+
+    Terms accumulate in step order; on the exact backend each coefficient
+    becomes a ``QC`` once, at the end.
+    """
+    out = ({}, {})
+    for parts, w in zip(steps, weights):
+        for q, wq in enumerate(w):
+            if not wq:
+                continue
+            for p, part in enumerate(parts):
+                target = out[(p + q) & 1]
+                cw = -wq if p & q else wq
+                for e, c in part.items():
+                    _accumulate(target, e, c * cw)
+    if a.backend == "exact":
+        return Element(a.basis, a.backend, scalars.from_numerators(den, *out))
+    return Element(a.basis, a.backend, out[0])
 
 
 def translate(a: Element, phi) -> Element:

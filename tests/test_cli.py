@@ -3,11 +3,14 @@
 import json
 import math
 import random
+import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import weylalg
 from weylalg import Element, LatticeSection, QC
 from weylalg.cli import main
 from weylalg.jsonio import (
@@ -426,3 +429,16 @@ def test_values_beyond_binary64_are_refused(args, doc, capsys, monkeypatch):
     code, out, err = run_cli(args, json.dumps(doc) if doc else None, capsys, monkeypatch)
     assert code == 4 and out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+def test_cli_import_does_not_load_dataclasses():
+    # every CLI process pays for what `import weylalg.cli` loads
+    src = Path(weylalg.__file__).resolve().parent.parent
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import weylalg.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert run.stdout.strip() == "False"

@@ -202,6 +202,16 @@ def test_seminorm_helpers_take_log_space_where_only_an_intermediate_overflows():
         ommy_norm_upper(q1**400, 1, 0.01)
 
 
+def test_wick_norm_takes_log_magnitude_of_exact_coefficient_below_binary64():
+    # |10^-400| is 0.0 in binary64, but the damped weight 10^-400 200!^(1/2)
+    # is about 3e-213 and fits: log|c| comes from the exact rational
+    q1 = Element.generator(GeneratorBasis(("q",), ("even",)), "q")
+    a = (q1**200).scale(QC(Fraction(1, 10**400)))
+    log_c = math.log(1) - math.log(10**400)
+    expected = math.exp(log_c + math.lgamma(201) - 0.5 * math.lgamma(201))
+    assert wick_epsilon_norm(a, 0.5) == pytest.approx(expected, rel=1e-12)
+
+
 def test_product_estimate_examples():
     rep = verify_product_estimate(Q, Q, 1, DARBOUX, 1, UNIT)
     assert rep.holds

@@ -6,7 +6,17 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    element_to_tensor,
+    pair_tensor_of,
+    pair_tensor_to_pairdict,
+    product_oracle,
+    tensor_to_element,
+    tilde_contract,
+    tilde_laplace,
+)
 from weylalg import (
+    BackendMismatchError,
     BasisMismatchError,
     BilinearForm,
     DomainError,
@@ -27,7 +37,7 @@ from weylalg import (
     translate,
 )
 from weylalg.star_algebra import conjugation_is_involution
-from weylalg.bilinear_forms import p_lambda_power
+from weylalg.bilinear_forms import TensorPair, p_lambda_power
 from weylalg.randoms import (
     default_basis,
     random_element,
@@ -200,6 +210,136 @@ def test_forms_keep_their_graded_parts(monkeypatch):
         assert poisson_bracket(a, b, form) == first
     equivalence_transform(a, QC(Fraction(1, 3)), g)
     assert len(built) <= 3
+
+
+QC_ARITHMETIC = (
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__neg__", "__pow__",
+)
+
+
+def test_exact_star_arithmetic_does_not_grow_with_contraction_steps(monkeypatch):
+    # exact star works on integer numerators: its QC arithmetic is a small
+    # multiple of the terms in and out, however many contraction steps run
+    form = BilinearForm.from_entries(B, {("p", "q"): QC(1, 2), ("q", "p"): Fraction(1, 3)})
+    z = QC(Fraction(2, 3), 1)
+    cases = []
+    for steps in (4, 8):
+        a = (P + Q.scale(QC(0, Fraction(1, 2)))) ** steps
+        b = (Q + P.scale(Fraction(3, 5))) ** steps
+        assert p_lambda_power(a, b, steps, form)
+        cases.append((a, b))
+    ops = []
+
+    def counting(fn):
+        def wrapper(*args):
+            ops.append(fn)
+            return fn(*args)
+
+        return wrapper
+
+    for name in QC_ARITHMETIC:
+        monkeypatch.setattr(QC, name, counting(QC.__dict__[name]))
+    per_term = []
+    for a, b in cases:
+        ops.clear()
+        out = star(a, b, z, form)
+        per_term.append(len(ops) / (len(a.terms) + len(b.terms) + len(out.terms)))
+    assert max(per_term) <= 2
+    assert per_term[1] <= per_term[0]
+
+
+def _mu_oracle(u: TensorPair) -> Element:
+    out = Element.zero(B)
+    for (ea, eb), c in u.terms.items():
+        out = out + product_oracle(Element(B, "exact", {ea: c}), Element(B, "exact", {eb: QC(1)}))
+    return out
+
+
+def _contract_oracle(u: TensorPair, form) -> TensorPair:
+    # one ordered-tensor contraction from canonical words, projected back
+    def word(e):
+        return tuple(i for i, k in enumerate(e) for _ in range(k))
+
+    ordered = {(word(ea), word(eb)): c for (ea, eb), c in u.terms.items()}
+    return pair_tensor_to_pairdict(tilde_contract(ordered, form, B), B)
+
+
+def _exp_oracle(first, step, finish, z):
+    """sum_k z^k/k! finish(step^k(first))."""
+    out, u, k = Element.zero(B), first, 0
+    while u:
+        out = out + finish(u).scale(z**k * QC(Fraction(1, math.factorial(k))))
+        u = step(u)
+        k += 1
+    return out
+
+
+def test_star_bracket_equivalence_against_tensor_oracles():
+    # complex and real coefficients, forms and z in every combination, on
+    # a basis with odd generators; exact results must be literally equal
+    rng = random.Random(53)
+    for trial in range(32):
+        ca, cb, cf, cz = (bool(trial >> bit & 1) for bit in range(4))
+        form = random_even_form(rng, B, complex_parts=cf)
+        g = random_graded_symmetric_form(rng, B, complex_parts=cf)
+        z = random_scalar(rng, complex_parts=cz)
+        a = random_element(rng, B, max_degree=4, n_terms=3, complex_parts=ca)
+        b = random_element(rng, B, max_degree=4, n_terms=3, complex_parts=cb)
+        pair = pair_tensor_to_pairdict(pair_tensor_of(a, b), B)
+        assert star(a, b, z, form) == _exp_oracle(
+            pair, lambda u: _contract_oracle(u, form), _mu_oracle, z
+        )
+        _, minus = lambda_parts(form)
+        assert poisson_bracket(a, b, form) == _mu_oracle(_contract_oracle(pair, minus)).scale(2)
+        assert equivalence_transform(a, z, g) == _exp_oracle(
+            a,
+            lambda c: tensor_to_element(tilde_laplace(element_to_tensor(c), g, B), B),
+            lambda c: c,
+            z,
+        )
+
+
+def test_exact_products_accept_int_and_fraction_coefficients():
+    # plain int/Fraction coefficients and form entries are exact scalars
+    # too; the results hold QC coefficients, equal to the QC inputs' results
+    a = Element.from_terms(B, "exact", [((1, 2, 0, 0), 3), ((0, 1, 1, 0), Fraction(-1, 2))])
+    b = Element.from_terms(B, "exact", [((2, 1, 0, 1), Fraction(2, 3)), ((0, 0, 0, 0), -4)])
+    form = BilinearForm(B, [[0, 1, 0, 0], [-2, 0, 0, 0], [0, 0, 1, 3], [0, 0, 3, 0]])
+    g = BilinearForm(B, [[1, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 5], [0, 0, -5, 0]])
+
+    def qc(x):
+        if isinstance(x, Element):
+            return Element(B, "exact", {e: QC(c) for e, c in x.terms.items()})
+        return BilinearForm(B, [[QC(c) for c in row] for row in x.matrix])
+
+    ab, third = a * b, Fraction(1, 3)
+    pairs = [
+        (star(a, b, 2, form), star(qc(a), qc(b), QC(2), qc(form))),
+        (poisson_bracket(a, b, form), poisson_bracket(qc(a), qc(b), qc(form))),
+        (equivalence_transform(ab, third, g), equivalence_transform(qc(ab), QC(third), qc(g))),
+    ]
+    for out, ref in pairs:
+        assert out and out == ref
+        assert all(type(c) is QC for c in out.terms.values())
+
+
+def test_products_reject_incompatible_forms():
+    other = GeneratorBasis(("x", "y"), ("even", "even"))
+    foreign = BilinearForm.from_entries(other, {("x", "x"): 1})
+    float_form = BilinearForm.from_entries(B, {("q", "q"): 1}, backend="float")
+    calls = (
+        lambda f: star(Q, P, 1, f),
+        lambda f: poisson_bracket(Q, P, f),
+        lambda f: equivalence_transform(Q * Q, 1, f),
+    )
+    for call in calls:
+        with pytest.raises(BasisMismatchError):
+            call(foreign)
+        with pytest.raises(BackendMismatchError):
+            call(float_form)
+    with pytest.raises(DomainError):
+        equivalence_transform(Q * P, 1, STD)
 
 
 def test_graded_commutator_examples():
