@@ -13,11 +13,34 @@ operator under the counting pairing and therefore all exactness claims.
 The overall sign of the canonical two-slice pairing is fixed once so that
 restriction to any slice pair is a Poisson morphism onto the covariant
 pairing (see ``SIGMA_SIGN``).
+
+The computation rests on three exact pieces:
+
+- One Green kernel per spacetime.  The wave operator commutes with the
+  periodic space shifts and, inside the window, with time shifts, so the
+  retarded Green operator of delta(t0, x0) at (t0+1+s, x) is the kernel
+  entry ``K[s][(x - x0) mod N]`` and the advanced one at (t0-1-s, x) is
+  the same entry.  The T-2 rows of ``K`` come from one leapfrog of a unit
+  delta, built on first use; every Green operator, the propagator and
+  the two-slice restriction are sums of shifted kernel rows.
+- Integer Wronskians.  Each ``CauchyPair`` keeps its slices as integer
+  numerators over one positive denominator, so ``lambda_sigma`` is one
+  integer dot product and one division.
+- Fraction-free elimination.  ``exact_rank`` and ``_solve_exact`` share
+  one Jordan elimination on sparse integer rows that are kept primitive
+  (each divided by the gcd of its entries), as in Geddes, Czapor and
+  Labahn, *Algorithms for Computer Algebra* (1992).
+
+``solve_cauchy`` keeps its leapfrog, since Cauchy evolution from two
+slices is a different problem; the test suite keeps a plain leapfrog of
+the Green operators as the reference the kernel is compared with.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import mul
 
 from . import scalars
 from .basis import GeneratorBasis
@@ -84,15 +107,21 @@ class LatticeSection:
 
 
 class CauchyPair:
-    """Values on two consecutive time slices, on all spatial sites."""
+    """Values on two consecutive time slices, on all spatial sites.
 
-    __slots__ = ("u0", "u1")
+    Besides the public ``u0`` and ``u1``, the pair keeps both slices as
+    integer numerators over one positive denominator, for the Wronskian.
+    """
+
+    __slots__ = ("u0", "u1", "_num0", "_num1", "_den")
 
     def __init__(self, u0, u1):
         self.u0 = tuple(Fraction(v) for v in u0)
         self.u1 = tuple(Fraction(v) for v in u1)
         if len(self.u0) != len(self.u1):
             raise DomainError("slices must have equal length")
+        nums, self._den = _numerators(self.u0 + self.u1)
+        self._num0, self._num1 = nums[: len(self.u0)], nums[len(self.u0) :]
 
     @property
     def sites(self):
@@ -110,7 +139,7 @@ class CauchyPair:
 class LatticeSpacetime:
     """A T x N window, periodic in space, with rational squared mass."""
 
-    __slots__ = ("T", "N", "m2")
+    __slots__ = ("T", "N", "m2", "_kernel")
 
     def __init__(self, T: int, N: int, m2=0):
         if T < 3 or N < 3:
@@ -121,6 +150,7 @@ class LatticeSpacetime:
         self.T = T
         self.N = N
         self.m2 = m2
+        self._kernel = None
 
     # -- basic checks ---------------------------------------------------
 
@@ -173,12 +203,6 @@ class LatticeSpacetime:
                     out.pop(key, None)
         return LatticeSection(out)
 
-    def _dense(self, u: LatticeSection):
-        rows = [[Fraction(0)] * self.N for _ in range(self.T)]
-        for (t, x), v in u.values.items():
-            rows[t][x] = v
-        return rows
-
     def _forward_step(self, prev_row, cur_row, src_row):
         N, m2 = self.N, self.m2
         return [
@@ -190,38 +214,68 @@ class LatticeSpacetime:
             for x in range(N)
         ]
 
+    def _green_kernel(self):
+        """(K, den): rows K[0..T-3] of integer numerators over den, the
+        retarded Green operator of delta(t0, 0) on slices t0+1, t0+2, ...
+
+        One leapfrog of a unit delta, built on first use.
+        """
+        if self._kernel is None:
+            zero = [Fraction(0)] * self.N
+            prev, cur = zero, self._forward_step(zero, zero, [Fraction(1)] + zero[1:])
+            rows = [cur]
+            for _ in range(self.T - 3):
+                prev, cur = cur, self._forward_step(prev, cur, zero)
+                rows.append(cur)
+            nums, den = _numerators([v for row in rows for v in row])
+            N = self.N
+            self._kernel = ([nums[s * N : (s + 1) * N] for s in range(len(rows))], den)
+        return self._kernel
+
+    def _green(self, phi: LatticeSection, ret: int, adv: int) -> LatticeSection:
+        """ret * G_ret(phi) + adv * G_adv(phi), as shifted kernel rows."""
+        self.check_margin(phi)
+        K, den = self._green_kernel()
+        weights, q = _numerators(phi.values.values())
+        rows = [[0] * self.N for _ in range(self.T)]
+        for (t0, x0), c in zip(phi.values, weights):
+            if ret:
+                for s in range(self.T - 1 - t0):
+                    _add_shifted(rows[t0 + 1 + s], K[s], x0, ret * c)
+            if adv:
+                for s in range(t0):
+                    _add_shifted(rows[t0 - 1 - s], K[s], x0, adv * c)
+        den *= q
+        return LatticeSection(
+            {
+                (t, x): Fraction(n, den)
+                for t, row in enumerate(rows)
+                for x, n in enumerate(row)
+                if n
+            }
+        )
+
     def green_retarded(self, phi: LatticeSection) -> LatticeSection:
         """The unique solution of D u = phi vanishing below the source."""
-        self.check_margin(phi)
-        src = self._dense(phi)
-        rows = [[Fraction(0)] * self.N for _ in range(self.T)]
-        for t in range(1, self.T - 1):
-            rows[t + 1] = self._forward_step(rows[t - 1], rows[t], src[t])
-        return _from_dense(rows)
+        return self._green(phi, 1, 0)
 
     def green_advanced(self, phi: LatticeSection) -> LatticeSection:
         """The unique solution of D u = phi vanishing above the source."""
-        self.check_margin(phi)
-        src = self._dense(phi)
-        rows = [[Fraction(0)] * self.N for _ in range(self.T)]
-        for t in range(self.T - 2, 0, -1):
-            rows[t - 1] = self._forward_step(rows[t + 1], rows[t], src[t])
-        return _from_dense(rows)
+        return self._green(phi, 0, 1)
 
     def propagator(self, phi: LatticeSection) -> LatticeSection:
         """Retarded minus advanced; solves the homogeneous equation."""
-        return self.green_retarded(phi) - self.green_advanced(phi)
+        return self._green(phi, 1, -1)
 
     # -- pairings ---------------------------------------------------------
 
     def pairing(self, phi: LatticeSection, u: LatticeSection) -> Fraction:
-        total = Fraction(0)
-        small, big = (
-            (phi.values, u) if len(phi.values) <= len(u.values) else (u.values, phi)
-        )
-        for key, v in small.items():
-            total += v * big[key]
-        return total
+        """Counting pairing, the sum of phi * u over the common support."""
+        small, big = sorted((phi.values, u.values), key=len)
+        keys = [key for key in small if key in big]
+        a, da = _numerators(small[key] for key in keys)
+        b, db = _numerators(big[key] for key in keys)
+        return Fraction(sum(map(mul, a, b)), da * db)
 
     def lambda_cov(self, phi: LatticeSection, psi: LatticeSection) -> Fraction:
         """Covariant pairing: propagated phi integrated against psi."""
@@ -248,20 +302,26 @@ class LatticeSpacetime:
         """Two-slice restriction of the propagated section at (t0, t0+1)."""
         if not (0 <= t0 and t0 + 1 <= self.T - 1):
             raise WindowOverflowError("slice pair outside the window")
-        g = self.propagator(phi)
-        u0 = [g[(t0, x)] for x in range(self.N)]
-        u1 = [g[(t0 + 1, x)] for x in range(self.N)]
-        return CauchyPair(u0, u1)
+        self.check_margin(phi)
+        K, den = self._green_kernel()
+        weights, q = _numerators(phi.values.values())
+        slices = ([0] * self.N, [0] * self.N)
+        for (ts, xs), c in zip(phi.values, weights):
+            for row, t in zip(slices, (t0, t0 + 1)):
+                if t > ts:
+                    _add_shifted(row, K[t - ts - 1], xs, c)
+                elif t < ts:
+                    _add_shifted(row, K[ts - t - 1], xs, -c)
+        den *= q
+        return CauchyPair(*([Fraction(n, den) for n in row] for row in slices))
 
     def lambda_sigma(self, A: CauchyPair, B: CauchyPair) -> Fraction:
         """Discrete Wronskian pairing of two-slice data; antisymmetric,
         and conserved along solutions of the homogeneous equation."""
         if A.sites != B.sites:
             raise DomainError("slice size mismatch")
-        total = Fraction(0)
-        for x in range(A.sites):
-            total += A.u1[x] * B.u0[x] - A.u0[x] * B.u1[x]
-        return SIGMA_SIGN * total
+        total = sum(map(mul, A._num1, B._num0)) - sum(map(mul, A._num0, B._num1))
+        return Fraction(SIGMA_SIGN * total, A._den * B._den)
 
     # -- Casimirs and the time slice --------------------------------------
 
@@ -362,49 +422,84 @@ def _from_dense(rows):
     return LatticeSection(out)
 
 
+def _numerators(values):
+    """Integer numerators of rationals over their least common denominator:
+    (numerators, denominator), the denominator positive."""
+    values = list(values)
+    den = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _add_shifted(row, krow, x0, c):
+    """row[x] += c * krow[(x - x0) mod N] for integer rows; skips the zeros
+    of krow."""
+    N = len(row)
+    for d, k in enumerate(krow):
+        if k:
+            x = (d + x0) % N
+            row[x] += c * k
+
+
 def _solve_exact(M, rhs):
-    """Gaussian elimination over the rationals; None if singular."""
+    """Exact solution of M x = rhs for square M; None if singular."""
     n = len(M)
-    A = [list(row) + [rhs[i]] for i, row in enumerate(M)]
-    if _gauss_jordan(A, n) < n:
+    pivots = _eliminate([list(row) + [rhs[i]] for i, row in enumerate(M)], n)
+    if len(pivots) < n:
         return None
-    return [A[i][n] for i in range(n)]
+    return [Fraction(pivots[i].get(n, 0), pivots[i][i]) for i in range(n)]
 
 
 def exact_rank(M) -> int:
     """Row rank of a rational matrix by exact elimination."""
-    A = [list(r) for r in M]
-    return _gauss_jordan(A, len(A[0])) if A else 0
+    return len(_eliminate(M, len(M[0]))) if M else 0
 
 
-def _gauss_jordan(A, cols: int) -> int:
-    """Reduce the rows of A in place over its first ``cols`` columns.
+def _eliminate(M, cols: int):
+    """Fraction-free Jordan elimination of the rows of M over its first
+    ``cols`` columns; returns {pivot column: reduced row}.
 
-    Each pivot is the first nonzero entry at or below the next pivot row;
-    its row is scaled to a leading 1 and clears that column in every other
-    row.  Returns the number of pivots, the rank.
+    Each row is scaled to integers by the lcm of its denominators and kept
+    sparse, as {column: nonzero int}.  A pivot clears its column in every
+    other row that has an entry there, by row <- (p/g) row - (f/g) pivot
+    with g = gcd(p, f), and each new row is divided by its content (the
+    gcd of its entries), so entries stay as small as the primitive rows
+    allow.  The rows of M may hold ints or Fractions; M is not modified.
     """
-    rows = len(A)
-    rank = 0
+    rows = []
+    for r in M:
+        row = {c: v for c, v in enumerate(_numerators(r)[0]) if v}
+        if row:
+            rows.append(row)
+    pivots = {}
     for col in range(cols):
-        piv = None
-        for r in range(rank, rows):
-            if A[r][col]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        A[rank], A[piv] = A[piv], A[rank]
-        inv = 1 / A[rank][col]
-        A[rank] = [v * inv for v in A[rank]]
-        for r in range(rows):
-            if r != rank and A[r][col]:
-                f = A[r][col]
-                A[r] = [a - f * b for a, b in zip(A[r], A[rank])]
-        rank += 1
-        if rank == rows:
+        if not rows:
             break
-    return rank
+        i = next((i for i, r in enumerate(rows) if col in r), None)
+        if i is None:
+            continue
+        piv = rows.pop(i)
+        p = piv[col]
+        for r in (*rows, *pivots.values()):
+            f = r.get(col)
+            if not f:
+                continue
+            g = math.gcd(p, f)
+            a, b = p // g, f // g
+            if a != 1:
+                for c in r:
+                    r[c] *= a
+            for c, v in piv.items():
+                w = r.get(c, 0) - b * v
+                if w:
+                    r[c] = w
+                else:
+                    del r[c]
+            content = math.gcd(*r.values())
+            if content != 1:
+                for c in r:
+                    r[c] //= content
+        pivots[col] = piv
+    return pivots
 
 
 def kernel_identification_report(st: LatticeSpacetime, t0: int = None):

@@ -32,6 +32,10 @@ REL_TOL = 1e-9
 # log space where only an intermediate overflows, refusal outside the range.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 FLOAT_MIN = sys.float_info.min
+# The exact product and bracket estimates build n!^R and 2^(2Rk) as
+# integers, and their time grows faster than R (about 0.3 s per trial at
+# R = 1000, 12 s at R = 10000); above this integer R they are refused.
+EXACT_ESTIMATE_MAX_R = 1000
 
 
 class WeightedSeminorm:
@@ -348,6 +352,13 @@ def _series_sum(term, exact: bool, kmax: int = 40):
     return total
 
 
+def _require_exact_R_capped(R, exact: bool):
+    if exact and R > EXACT_ESTIMATE_MAX_R:
+        raise RefusedPreconditionError(
+            f"exact estimates are limited to R <= {EXACT_ESTIMATE_MAX_R}"
+        )
+
+
 def verify_product_estimate(
     a: Element, b: Element, z, form: BilinearForm, R, p: WeightedSeminorm,
     exact: bool | None = None,
@@ -366,6 +377,7 @@ def verify_product_estimate(
         exact = R.denominator == 1 and a.backend == "exact"
     if exact and R.denominator != 1:
         raise DomainError("exact product estimate needs an integer R")
+    _require_exact_R_capped(R, exact)
     z = scalars.coerce(a.backend, z)
     zmag = _coeff_abs(z, exact)
     pd, sigma = _dominating_seminorm(form, p, exact)
@@ -418,6 +430,7 @@ def verify_bracket_estimate(
         exact = R.denominator == 1 and a.backend == "exact"
     if exact and R.denominator != 1:
         raise DomainError("exact bracket estimate needs an integer R")
+    _require_exact_R_capped(R, exact)
     pd, sigma = _dominating_seminorm(form, p, exact)
     br = poisson_bracket(a, b, form)
     lhs = p_R(br, pd, R, exact)

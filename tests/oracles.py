@@ -12,6 +12,7 @@ import math
 from fractions import Fraction
 
 from weylalg.graded_poly import Element
+from weylalg.peierls import LatticeSection
 from weylalg.scalars import QC
 
 
@@ -237,3 +238,21 @@ def tilde_laplace(tensor, g, basis):
                 else:
                     out[key] = tot
     return out
+
+
+def leapfrog_green(st, phi, direction):
+    """Green operator of the lattice wave operator by a plain dense leapfrog.
+
+    ``direction`` +1 gives the retarded solution of D u = phi (zero below
+    the source), -1 the advanced one (zero above it).  D u = phi at (t, x),
+    solved for u at t + direction, is written out here on its own.
+    """
+    T, N, m2 = st.T, st.N, st.m2
+    u = [[Fraction(0)] * N for _ in range(T)]
+    for t in range(1, T - 1) if direction > 0 else range(T - 2, 0, -1):
+        ahead, behind, row = u[t + direction], u[t - direction], u[t]
+        for x in range(N):
+            ahead[x] = (
+                phi[(t, x)] - behind[x] + row[(x + 1) % N] + row[(x - 1) % N] - m2 * row[x]
+            )
+    return LatticeSection({(t, x): v for t, row in enumerate(u) for x, v in enumerate(row) if v})

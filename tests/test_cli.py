@@ -5,6 +5,7 @@ import math
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 import weylalg
 from weylalg import Element, LatticeSection, QC
-from weylalg.cli import main
+from weylalg.cli import PEIERLS_MAX_SITES, main
 from weylalg.jsonio import (
     RATIONAL_MAX_DIGITS,
     RATIONAL_MAX_EXPONENT,
@@ -27,6 +28,7 @@ from weylalg.jsonio import (
     seminorm_from_json,
 )
 from weylalg.randoms import default_basis, random_element, random_even_form
+from weylalg.seminorm_calculus import EXACT_ESTIMATE_MAX_R
 
 B = default_basis()
 
@@ -429,6 +431,41 @@ def test_values_beyond_binary64_are_refused(args, doc, capsys, monkeypatch):
     code, out, err = run_cli(args, json.dumps(doc) if doc else None, capsys, monkeypatch)
     assert code == 4 and out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "product-estimate", "--R", "1000000"],
+        ["verify", "bracket-estimate", "--R", "1000000"],
+        ["verify", "product-estimate", "--R", str(EXACT_ESTIMATE_MAX_R + 1), "--format", "csv"],
+        ["peierls", "poisson-iso", "--T", "1000000000", "--N", "1000000000"],
+        ["peierls", "weyl-gram", "--T", str(PEIERLS_MAX_SITES // 8 + 1), "--N", "8"],
+    ],
+)
+def test_work_beyond_the_caps_is_refused_at_once(args, capsys, monkeypatch):
+    start = time.perf_counter()
+    code, out, err = run_cli(args, None, capsys, monkeypatch)
+    assert time.perf_counter() - start < 2
+    assert code == 4 and out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+def test_work_at_the_caps_runs(capsys, monkeypatch):
+    code, out, err = run_cli(
+        ["verify", "bracket-estimate", "--R", str(EXACT_ESTIMATE_MAX_R), "--trials", "1"],
+        None,
+        capsys,
+        monkeypatch,
+    )
+    assert code == 0 and err == ""
+    code, out, err = run_cli(
+        ["peierls", "weyl-gram", "--T", str(PEIERLS_MAX_SITES // 8), "--N", "8"],
+        None,
+        capsys,
+        monkeypatch,
+    )
+    assert code == 0 and json.loads(out)["ok"]
 
 
 def test_cli_import_does_not_load_dataclasses():

@@ -17,6 +17,8 @@ from weylalg import (
 )
 from weylalg.peierls import exact_rank, kernel_identification_report
 
+from oracles import leapfrog_green
+
 ST = LatticeSpacetime(12, 8, 0)
 STM = LatticeSpacetime(10, 6, Fraction(1, 4))
 
@@ -124,6 +126,61 @@ def test_green_uniqueness_against_dense_solve():
         for x in range(4):
             assert interior_D(st, g, t, x) == phi[(t, x)]
     assert all(g[(t, x)] == 0 for t in range(tmin + 1) for x in range(4))
+
+
+def _random_rational_section(rng, st, sites):
+    return LatticeSection(
+        {
+            (rng.randint(1, st.T - 2), rng.randint(0, st.N - 1)): Fraction(
+                rng.randint(-9, 9), rng.randint(1, 6)
+            )
+            for _ in range(sites)
+        }
+    )
+
+
+@pytest.mark.parametrize("m2", [Fraction(0), Fraction(1, 3), Fraction(5, 2)])
+@pytest.mark.parametrize("T, N", [(3, 3), (3, 4), (4, 3), (4, 4), (12, 8)])
+def test_green_operators_match_leapfrog_oracle(T, N, m2):
+    # the kernel lookups against a plain leapfrog, on every slice pair,
+    # including the first and last rows of the window and rings small
+    # enough that the cones wrap around
+    st = LatticeSpacetime(T, N, m2)
+    rng = random.Random(T * 100 + N * 10 + m2.denominator)
+    sections = [LatticeSection.delta(t, x) for t, x in st.margin_sites()]
+    sections += [_random_rational_section(rng, st, k) for k in (2, 3, 5, 9)]
+    for phi in sections:
+        ret, adv = leapfrog_green(st, phi, 1), leapfrog_green(st, phi, -1)
+        assert st.green_retarded(phi) == ret
+        assert st.green_advanced(phi) == adv
+        g = st.propagator(phi)
+        assert g == ret - adv
+        for t0 in range(T - 1):
+            pair = st.rho_sigma(phi, t0)
+            assert pair.u0 == tuple(g[(t0, x)] for x in range(N))
+            assert pair.u1 == tuple(g[(t0 + 1, x)] for x in range(N))
+            assert st.solve_cauchy(pair, t0) == g
+
+
+def test_kernel_is_built_once_per_spacetime(monkeypatch):
+    # rho_sigma and the propagator read one shared Green kernel: the number
+    # of leapfrog steps does not grow with the number of sources
+    steps = []
+    step = LatticeSpacetime._forward_step
+
+    def counting_step(self, *args):
+        steps.append(self)
+        return step(self, *args)
+
+    monkeypatch.setattr(LatticeSpacetime, "_forward_step", counting_step)
+    for m2 in (0, Fraction(1, 3)):
+        st = LatticeSpacetime(12, 8, m2)
+        t0 = (st.T - 1) // 2
+        for site in st.margin_sites():
+            delta = LatticeSection.delta(*site)
+            st.rho_sigma(delta, t0)
+            st.propagator(delta)
+        assert 0 < steps.count(st) <= st.T - 2
 
 
 def test_propagator_solves_homogeneous_equation():
