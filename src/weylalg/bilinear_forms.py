@@ -19,6 +19,7 @@ them at once store equal values.
 
 from __future__ import annotations
 
+import math
 import operator
 from fractions import Fraction
 
@@ -355,6 +356,10 @@ def is_poisson_map(A, form_v: BilinearForm, form_w: BilinearForm) -> bool:
 
 # -- normal forms -------------------------------------------------------
 
+# _squarefree_scale trial-divides only below this bound, so its work is
+# bounded for any input.
+_TRIAL_BOUND = 10**4
+
 
 class NormalFormResult:
     """Invariants and exact change of basis for a graded-antisymmetric form.
@@ -364,8 +369,11 @@ class NormalFormResult:
     an even block with standard pairings q_i p_j = delta_ij plus a
     k-dimensional kernel, and an odd diagonal block with r positive,
     s negative and t zero entries.  Over the rationals the odd diagonal
-    entries are square-free positive/negative rationals; they equal +-1
-    exactly whenever the eliminated pivots were rational squares.
+    entries are positive/negative rationals a/b; they equal +-1 exactly
+    whenever the eliminated pivots were rational squares.  The integer
+    a*b is square-free whenever the part of it with no prime factor below
+    10**4 is below 10**12; past that the square of a prime >= 10**4 may
+    be left in, and the entry is still exact, only not reduced.
     """
 
     __slots__ = ("pairs", "kernel_dim", "plus", "minus", "null", "transform")
@@ -483,15 +491,28 @@ def _darboux_even(M, ev):
 
 
 def _squarefree_scale(x: Fraction):
-    """Largest rational m with x = m^2 * squarefree(x), for positive x."""
+    """Rational m with x = m^2 * r, for positive x; r is square-free under
+    the condition stated in ``NormalFormResult``.
+
+    Trial division by every k below ``_TRIAL_BOUND`` takes out the squares
+    of the small primes and drops their single factors.  What is left has
+    only prime factors >= _TRIAL_BOUND, so below _TRIAL_BOUND**3 it is 1,
+    a prime, a product of two primes or a square, which one ``isqrt``
+    test tells apart.
+    """
     n = x.numerator * x.denominator
     m = 1
-    k = 2
-    while k * k <= n:
+    for k in range(2, _TRIAL_BOUND):
+        if k * k > n:
+            break
         while n % (k * k) == 0:
             n //= k * k
             m *= k
-        k += 1
+        if n % k == 0:
+            n //= k
+    r = math.isqrt(n)
+    if r * r == n:
+        m *= r
     return Fraction(m, x.denominator)
 
 

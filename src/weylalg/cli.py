@@ -471,9 +471,8 @@ def _peierls_timeslice(st):
         psi = st.slab_representative(phi, t0)
         if not st.is_casimir(phi - psi):
             casimir_ok = False
-        for chi in tests:
-            if st.lambda_cov(phi, chi) != st.lambda_cov(psi, chi):
-                bad += 1
+        g_phi, g_psi = st.propagator(phi), st.propagator(psi)
+        bad += sum(st.pairing(chi, g_phi) != st.pairing(chi, g_psi) for chi in tests)
     return {
         "scenario": "timeslice",
         "t0": t0,

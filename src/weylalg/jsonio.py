@@ -137,7 +137,7 @@ def element_from_json(doc, basis=None, backend=None, path="element"):
     if backend is None:
         backend = doc.get("scalar", "exact")
     _expect(backend in scalars.BACKENDS, f"{path}.scalar", "unknown backend")
-    out = Element.zero(basis, backend)
+    items = []
     terms = doc.get("terms", [])
     _expect(isinstance(terms, list), f"{path}.terms", "must be a list")
     for i, term in enumerate(terms):
@@ -158,8 +158,8 @@ def element_from_json(doc, basis=None, backend=None, path="element"):
             _expect(exps[idx] == 0, f"{tpath}.odd", f"{name!r} repeated")
             exps[idx] = 1
         coeff = scalar_from_json(term.get("coeff", 1), backend, f"{tpath}.coeff")
-        out = out + Element(basis, backend, {tuple(exps): coeff})
-    return out
+        items.append((exps, coeff))
+    return Element.from_terms(basis, backend, items)
 
 
 def form_to_json(form: BilinearForm):

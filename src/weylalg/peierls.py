@@ -21,8 +21,9 @@ The computation rests on three exact pieces:
   retarded Green operator of delta(t0, x0) at (t0+1+s, x) is the kernel
   entry ``K[s][(x - x0) mod N]`` and the advanced one at (t0-1-s, x) is
   the same entry.  The T-2 rows of ``K`` come from one leapfrog of a unit
-  delta, built on first use; every Green operator, the propagator and
-  the two-slice restriction are sums of shifted kernel rows.
+  delta, built on first use.  Every Green operator, the propagator and
+  the two-slice restriction are sums of shifted kernel rows, shifted and
+  summed in one place, ``_kernel_rows``.
 - Integer Wronskians.  Each ``CauchyPair`` keeps its slices as integer
   numerators over one positive denominator, so ``lambda_sigma`` is one
   integer dot product and one division.
@@ -180,27 +181,12 @@ class LatticeSpacetime:
         """Discrete wave operator; symmetric under the counting pairing
         on margin-respecting sections."""
         self.check_margin(u)
+        stencil = ((1, 0, 1), (-1, 0, 1), (0, 1, -1), (0, -1, -1), (0, 0, self.m2))
         out = {}
         for (t, x), v in u.values.items():
-            for (dt, dx), c in (
-                ((1, 0), 1),
-                ((-1, 0), 1),
-                ((0, 1), -1),
-                ((0, -1), -1),
-            ):
+            for dt, dx, c in stencil:
                 key = (t + dt, (x + dx) % self.N)
-                s = out.get(key, Fraction(0)) + c * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-            if self.m2:
-                key = (t, x)
-                s = out.get(key, Fraction(0)) + self.m2 * v
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
+                out[key] = out.get(key, 0) + c * v
         return LatticeSection(out)
 
     def _forward_step(self, prev_row, cur_row, src_row):
@@ -232,24 +218,28 @@ class LatticeSpacetime:
             self._kernel = ([nums[s * N : (s + 1) * N] for s in range(len(rows))], den)
         return self._kernel
 
-    def _green(self, phi: LatticeSection, ret: int, adv: int) -> LatticeSection:
-        """ret * G_ret(phi) + adv * G_adv(phi), as shifted kernel rows."""
+    def _kernel_rows(self, phi: LatticeSection, times, ret: int, adv: int):
+        """({t: integer row}, den): ret * G_ret(phi) + adv * G_adv(phi) on
+        the slices ``times``, as sums of shifted kernel rows over one
+        denominator."""
         self.check_margin(phi)
         K, den = self._green_kernel()
         weights, q = _numerators(phi.values.values())
-        rows = [[0] * self.N for _ in range(self.T)]
-        for (t0, x0), c in zip(phi.values, weights):
-            if ret:
-                for s in range(self.T - 1 - t0):
-                    _add_shifted(rows[t0 + 1 + s], K[s], x0, ret * c)
-            if adv:
-                for s in range(t0):
-                    _add_shifted(rows[t0 - 1 - s], K[s], x0, adv * c)
-        den *= q
+        rows = {t: [0] * self.N for t in times}
+        for (ts, xs), c in zip(phi.values, weights):
+            for t, row in rows.items():
+                coef = ret if t > ts else adv if t < ts else 0
+                if coef:
+                    _add_shifted(row, K[abs(t - ts) - 1], xs, coef * c)
+        return rows, den * q
+
+    def _green(self, phi: LatticeSection, ret: int, adv: int) -> LatticeSection:
+        """ret * G_ret(phi) + adv * G_adv(phi) on the whole window."""
+        rows, den = self._kernel_rows(phi, range(self.T), ret, adv)
         return LatticeSection(
             {
                 (t, x): Fraction(n, den)
-                for t, row in enumerate(rows)
+                for t, row in rows.items()
                 for x, n in enumerate(row)
                 if n
             }
@@ -296,24 +286,16 @@ class LatticeSpacetime:
             rows[t + 1] = self._forward_step(rows[t - 1], rows[t], zero_src)
         for t in range(t0, 0, -1):
             rows[t - 1] = self._forward_step(rows[t + 1], rows[t], zero_src)
-        return _from_dense(rows)
+        return LatticeSection(
+            {(t, x): v for t, row in enumerate(rows) for x, v in enumerate(row)}
+        )
 
     def rho_sigma(self, phi: LatticeSection, t0: int) -> CauchyPair:
         """Two-slice restriction of the propagated section at (t0, t0+1)."""
         if not (0 <= t0 and t0 + 1 <= self.T - 1):
             raise WindowOverflowError("slice pair outside the window")
-        self.check_margin(phi)
-        K, den = self._green_kernel()
-        weights, q = _numerators(phi.values.values())
-        slices = ([0] * self.N, [0] * self.N)
-        for (ts, xs), c in zip(phi.values, weights):
-            for row, t in zip(slices, (t0, t0 + 1)):
-                if t > ts:
-                    _add_shifted(row, K[t - ts - 1], xs, c)
-                elif t < ts:
-                    _add_shifted(row, K[ts - t - 1], xs, -c)
-        den *= q
-        return CauchyPair(*([Fraction(n, den) for n in row] for row in slices))
+        rows, den = self._kernel_rows(phi, (t0, t0 + 1), 1, -1)
+        return CauchyPair(*([Fraction(n, den) for n in row] for row in rows.values()))
 
     def lambda_sigma(self, A: CauchyPair, B: CauchyPair) -> Fraction:
         """Discrete Wronskian pairing of two-slice data; antisymmetric,
@@ -346,12 +328,14 @@ class LatticeSpacetime:
         """Matrix of rho_sigma on the basis of slab-site deltas."""
         if t0 < 1 or t0 + 1 > self.T - 2:
             raise WindowOverflowError("slab must respect the temporal margin")
-        cols = []
-        for t in (t0, t0 + 1):
-            for x in range(self.N):
-                pair = self.rho_sigma(LatticeSection.delta(t, x), t0)
-                cols.append(list(pair.u0) + list(pair.u1))
-        return [[cols[c][r] for c in range(2 * self.N)] for r in range(2 * self.N)]
+        return self._rho_matrix(
+            [(t, x) for t in (t0, t0 + 1) for x in range(self.N)], t0
+        )
+
+    def _rho_matrix(self, sites, t0: int):
+        """Matrix of rho_sigma at (t0, t0+1), one column per site delta."""
+        pairs = [self.rho_sigma(LatticeSection.delta(*site), t0) for site in sites]
+        return [list(row) for row in zip(*(p.u0 + p.u1 for p in pairs))]
 
     def slab_representative(self, phi: LatticeSection, t0: int) -> LatticeSection:
         """A section on slices {t0, t0+1} with the same two-slice restriction.
@@ -405,21 +389,10 @@ class LatticeSpacetime:
         return BilinearForm(basis, rows, backend="exact")
 
     def margin_sites(self):
-        return [
-            (t, x) for t in range(1, self.T - 1) for x in range(self.N)
-        ]
+        return [(t, x) for t in range(1, self.T - 1) for x in range(self.N)]
 
     def __repr__(self):
         return f"LatticeSpacetime(T={self.T}, N={self.N}, m2={self.m2})"
-
-
-def _from_dense(rows):
-    out = {}
-    for t, row in enumerate(rows):
-        for x, v in enumerate(row):
-            if v:
-                out[(t, x)] = v
-    return LatticeSection(out)
 
 
 def _numerators(values):
@@ -513,18 +486,9 @@ def kernel_identification_report(st: LatticeSpacetime, t0: int = None):
         t0 = (st.T - 1) // 2
     margin = st.margin_sites()
     index = {site: i for i, site in enumerate(margin)}
-    rho_cols = []
-    for site in margin:
-        pair = st.rho_sigma(LatticeSection.delta(*site), t0)
-        rho_cols.append(list(pair.u0) + list(pair.u1))
-    rho_matrix = [
-        [rho_cols[c][r] for c in range(len(margin))] for r in range(2 * st.N)
-    ]
-    rho_rank = exact_rank(rho_matrix)
+    rho_rank = exact_rank(st._rho_matrix(margin, t0))
 
-    inner = [
-        (t, x) for t in range(2, st.T - 2) for x in range(st.N)
-    ]
+    inner = [(t, x) for t in range(2, st.T - 2) for x in range(st.N)]
     d_cols = []
     inclusion_ok = True
     for site in inner:

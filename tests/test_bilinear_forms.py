@@ -1,6 +1,7 @@
 """Bilinear forms, contraction operators, Laplacian, normal forms."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -444,6 +445,20 @@ def test_normal_form_examples():
     res = normal_form(BilinearForm.from_entries(bo, {("e", "e"): 4}))
     assert res.invariants == (0, 0, 1, 0, 0)
     assert res.transform == [[Fraction(1, 2)]]
+
+
+def test_normal_form_scales_large_odd_entries_in_bounded_time():
+    bo = GeneratorBasis(("e",), ("odd",))
+    # a product of two primes past any trial bound: kept as it is
+    pq = 1000000007 * 1000000009
+    start = time.perf_counter()
+    res = normal_form(BilinearForm.from_entries(bo, {("e", "e"): pq}))
+    assert time.perf_counter() - start < 1.0
+    assert res.invariants == (0, 0, 1, 0, 0)
+    assert res.transform == [[Fraction(1)]]
+    # the square of a prime above the trial bound is still taken out
+    res = normal_form(BilinearForm.from_entries(bo, {("e", "e"): 3 * 10007**2}))
+    assert res.transform == [[Fraction(1, 10007)]]
 
 
 def test_normal_form_conjugation_is_exact():

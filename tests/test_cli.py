@@ -1,5 +1,6 @@
 """JSON formats and the command-line front end (exit-code contract)."""
 
+import hashlib
 import json
 import math
 import random
@@ -64,6 +65,21 @@ def test_form_json_round_trip():
 def test_section_json_round_trip():
     u = LatticeSection({(1, 2): Fraction(1, 3), (4, 5): -2})
     assert section_from_json(section_to_json(u)) == u
+
+
+def test_long_element_documents_parse_in_linear_time():
+    # parsing time is linear in the number of terms
+    terms = {}
+    for i in range(20000):
+        e = [0] * B.dimension
+        e[B.index("q")], e[B.index("p")] = i % 200 + 1, i // 200 + 1
+        terms[tuple(e)] = QC(Fraction(i + 1, 7))
+    a = Element(B, "exact", terms)
+    doc = element_to_json(a)
+    start = time.perf_counter()
+    b = element_from_json(doc)
+    assert time.perf_counter() - start < 2.0
+    assert b == a
 
 
 def test_bad_documents_raise_schema_errors():
@@ -279,6 +295,57 @@ def test_cmd_peierls_csv(capsys, monkeypatch):
     )
     assert code == 0
     assert out.splitlines()[0] == "i,j,value"
+
+
+# sha256 of stdout + b"|" + exit code of the peierls commands that print
+# kernel values: every scenario, format and mass at 12x8, and the cone
+# pictures at 16x12.  A change to the lattice code leaves these bytes as
+# they are.
+PEIERLS_DIGESTS = {
+    "locality --T 12 --N 8 --m2 0 --format json":
+        "fa57b01fe7ccfcc3fa16f795c1300c5b4f6539768fbc3200d9ffad958c6efcc0",
+    "locality --T 12 --N 8 --m2 1/3 --format json":
+        "fa57b01fe7ccfcc3fa16f795c1300c5b4f6539768fbc3200d9ffad958c6efcc0",
+    "locality --T 12 --N 8 --m2 0 --format csv":
+        "2f39d7af371be8be686557fab638133ceb810771023a072c79404eb69d8bd631",
+    "locality --T 12 --N 8 --m2 1/3 --format csv":
+        "c9a474ed3eba0b88d2652db2dba449dcb3eafcd1152c06043128f2c3c6b5e4a7",
+    "poisson-iso --T 12 --N 8 --m2 0 --format json":
+        "2cc3902a9dfcab419e2edf8d640f7e9bdead3e7e6c0ab86dff523e6ab21004dc",
+    "poisson-iso --T 12 --N 8 --m2 1/3 --format json":
+        "2cc3902a9dfcab419e2edf8d640f7e9bdead3e7e6c0ab86dff523e6ab21004dc",
+    "poisson-iso --T 12 --N 8 --m2 0 --format csv":
+        "100b41456d90cc6b79346b02c1654f7bec673d550ff2320df0aa6dd8227450db",
+    "poisson-iso --T 12 --N 8 --m2 1/3 --format csv":
+        "100b41456d90cc6b79346b02c1654f7bec673d550ff2320df0aa6dd8227450db",
+    "timeslice --T 12 --N 8 --m2 0 --format json":
+        "c0545b2b5fa8ff4d71fa8f10232ca663815a91d4e6adde5be4de8df1d9635083",
+    "timeslice --T 12 --N 8 --m2 1/3 --format json":
+        "c0545b2b5fa8ff4d71fa8f10232ca663815a91d4e6adde5be4de8df1d9635083",
+    "timeslice --T 12 --N 8 --m2 0 --format csv":
+        "5424ea592072a86adb9b05d7a57e5d8679072fe9a697bd07f9c01e2c69f7c089",
+    "timeslice --T 12 --N 8 --m2 1/3 --format csv":
+        "5424ea592072a86adb9b05d7a57e5d8679072fe9a697bd07f9c01e2c69f7c089",
+    "weyl-gram --T 12 --N 8 --m2 0 --format json":
+        "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
+    "weyl-gram --T 12 --N 8 --m2 1/3 --format json":
+        "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
+    "weyl-gram --T 12 --N 8 --m2 0 --format csv":
+        "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
+    "weyl-gram --T 12 --N 8 --m2 1/3 --format csv":
+        "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
+    "locality --T 16 --N 12 --m2 0 --format csv":
+        "f10892a5e059111d8c6cf6c7addaea81ac38b90ec9e8b79938fe2cde1f10e601",
+    "locality --T 16 --N 12 --m2 1/3 --format csv":
+        "33a4d019425ceb6dcb93f7cae3a4764079433ac33d57a9e43dc9f786f66b5f37",
+}
+
+
+def test_peierls_outputs_are_byte_stable(capsys):
+    for cmd, digest in PEIERLS_DIGESTS.items():
+        code = main(["peierls", *cmd.split()])
+        out = capsys.readouterr().out.encode() + b"|%d" % code
+        assert hashlib.sha256(out).hexdigest() == digest, cmd
 
 
 def test_cmd_peierls(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Exact lattice field theory: Green operators, pairings, time slice."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from weylalg import (
     check_star_involution,
     graded_commutator,
 )
+from weylalg.cli import main
 from weylalg.peierls import exact_rank, kernel_identification_report
 
 from oracles import leapfrog_green
@@ -55,6 +57,20 @@ def test_apply_D_examples():
     assert ST.apply_D(a + b) == ST.apply_D(a) + ST.apply_D(b)
     with pytest.raises(WindowOverflowError):
         ST.apply_D(LatticeSection.delta(0, 0))
+
+
+@pytest.mark.parametrize("st", [STM, LatticeSpacetime(10, 6, Fraction(5, 2))])
+def test_apply_D_with_mass_matches_stencil(st):
+    rng = random.Random(st.m2.numerator)
+    for sites in (1, 2, 4, 8):
+        u = _random_rational_section(rng, st, sites)
+        expected = {}
+        for t in range(st.T):
+            for x in range(st.N):
+                v = interior_D(st, u, t, x)
+                if v:
+                    expected[(t, x)] = v
+        assert st.apply_D(u).values == expected
 
 
 def test_apply_D_symmetric_pairing():
@@ -181,6 +197,23 @@ def test_kernel_is_built_once_per_spacetime(monkeypatch):
             st.rho_sigma(delta, t0)
             st.propagator(delta)
         assert 0 < steps.count(st) <= st.T - 2
+
+
+def test_timeslice_propagates_each_source_once(monkeypatch, capsys):
+    # each probe, its slab representative and their difference are
+    # propagated once, then paired with every test delta
+    calls = []
+    propagator = LatticeSpacetime.propagator
+
+    def counting_propagator(self, phi):
+        calls.append(phi)
+        return propagator(self, phi)
+
+    monkeypatch.setattr(LatticeSpacetime, "propagator", counting_propagator)
+    assert main(["peierls", "timeslice", "--T", "12", "--N", "8"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["ok"]
+    assert 0 < len(calls) <= 3 * report["probes"]
 
 
 def test_propagator_solves_homogeneous_equation():
