@@ -191,7 +191,9 @@ class TensorPair:
     def of(cls, a: Element, b: Element):
         """The simple tensor a (x) b."""
         require_same_basis(a, b)
-        return cls(a.basis, a.backend, _tensor_terms(a.terms, b.terms))
+        lay = K.product_layout(a.basis, a.terms, b.terms)
+        terms = K.tensor_terms(K.pack(a.terms, lay), K.pack(b.terms, lay), lay)
+        return cls(a.basis, a.backend, K.unpack_pairs(terms, lay))
 
     def __add__(self, other):
         terms = dict(self.terms)
@@ -220,28 +222,21 @@ class TensorPair:
 
     def multiply(self) -> Element:
         """Apply the product map mu to every summand."""
-        terms = K.mu_terms(self.terms, self.basis.odd_mask)
-        return Element(self.basis, self.backend, terms)
+        lay = K.Layout.of(self.basis, 2 * _pair_top(self))
+        terms = K.mu_terms(K.pack_pairs(self.terms, lay), lay)
+        return Element(self.basis, self.backend, K.unpack(terms, lay))
 
     def pair_product(self, other):
-        """Graded algebra product on the tensor square."""
-        mask = self.basis.odd_mask
-        terms = {}
-        for (a1, b1), c1 in self.terms.items():
-            pb1 = K.parity_of(b1, mask)
-            for (a2, b2), c2 in other.terms.items():
-                pa2 = K.parity_of(a2, mask)
-                left = K.mul_exps(a1, a2, mask)
-                if left is None:
-                    continue
-                right = K.mul_exps(b1, b2, mask)
-                if right is None:
-                    continue
-                (ea, sa), (eb, sb) = left, right
-                sign = sa * sb * (-1 if (pb1 and pa2) else 1)
-                c = c1 * c2
-                _accumulate(terms, (ea, eb), -c if sign < 0 else c)
-        return TensorPair(self.basis, self.backend, terms)
+        """Graded algebra product on the tensor square.
+
+        A pair key is a monomial over twice the basis, legs in order, so
+        this is the graded product there: moving the second factor's left
+        leg past the first factor's right leg gives (-1)^{|b1||a2|}.
+        """
+        lay = K.Layout.of(self.basis, _pair_top(self) + _pair_top(other))
+        x, y = K.pack_pairs(self.terms, lay), K.pack_pairs(other.terms, lay)
+        terms = K.mul_terms(x, y, lay.doubled())
+        return TensorPair(self.basis, self.backend, K.unpack_pairs(terms, lay))
 
     def __eq__(self, other):
         if not isinstance(other, TensorPair):
@@ -259,15 +254,9 @@ class TensorPair:
         return f"TensorPair({self.terms!r})"
 
 
-def _tensor_terms(t1, t2):
-    """The term map {(e1, e2): c1 c2} of the tensor of two term maps, without zeros."""
-    terms = {}
-    for e1, c1 in t1.items():
-        for e2, c2 in t2.items():
-            c = c1 * c2
-            if c:
-                terms[(e1, e2)] = c
-    return terms
+def _pair_top(u: TensorPair):
+    """The largest exponent on either leg of a tensor pair."""
+    return K.top_exponent(ea + eb for ea, eb in u.terms)
 
 
 def p_lambda(u: TensorPair, form: BilinearForm) -> TensorPair:
@@ -278,8 +267,9 @@ def p_lambda(u: TensorPair, form: BilinearForm) -> TensorPair:
     a (x) 1.
     """
     require_same_basis(u, form)
-    terms = K.contract_terms(u.terms, form._entries, u.basis.odd_mask)
-    return TensorPair(u.basis, u.backend, terms)
+    lay = K.Layout.of(u.basis, _pair_top(u))
+    terms = K.contract_terms(K.pack_pairs(u.terms, lay), form._entries, lay)
+    return TensorPair(u.basis, u.backend, K.unpack_pairs(terms, lay))
 
 
 def p_lambda_power(a: Element, b: Element, k: int, form: BilinearForm) -> TensorPair:
@@ -301,8 +291,9 @@ def delta_g(a: Element, g: BilinearForm) -> Element:
     lowers the tensor degree by two.
     """
     require_same_basis(a, g)
-    terms = K.laplace_bulk(a.terms, _laplace_entries(g), a.basis.odd_mask)
-    return Element(a.basis, a.backend, terms)
+    lay = K.Layout.of(a.basis, K.top_exponent(a.terms))
+    terms = K.laplace_bulk(K.pack(a.terms, lay), _laplace_entries(g), lay)
+    return Element(a.basis, a.backend, K.unpack(terms, lay))
 
 
 def _laplace_entries(g: BilinearForm):

@@ -163,8 +163,9 @@ class Element:
         if not isinstance(other, Element):
             return NotImplemented
         require_same_basis(self, other)
-        terms = K.mul_terms(self.terms, other.terms, self.basis.odd_mask)
-        return Element(self.basis, self.backend, terms)
+        lay = K.product_layout(self.basis, self.terms, other.terms)
+        terms = K.mul_terms(K.pack(self.terms, lay), K.pack(other.terms, lay), lay)
+        return Element(self.basis, self.backend, K.unpack(terms, lay))
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:

@@ -34,6 +34,7 @@ from .seminorm_calculus import WeightedSeminorm
 # because estimates, reports and Koethe logs convert inputs to float.
 RATIONAL_MAX_DIGITS = 1000
 RATIONAL_MAX_EXPONENT = 1000
+_FLOAT_MAX = Fraction(sys.float_info.max)
 
 
 class SchemaError(DomainError):
@@ -56,7 +57,7 @@ def rational_from_json(value, path) -> Fraction:
         q = Fraction(text) if small else None
     except (ValueError, ZeroDivisionError):
         raise SchemaError(path, f"not a rational number: {text[:40]!r}") from None
-    if q is None or abs(q) > sys.float_info.max:
+    if q is None or abs(q) > _FLOAT_MAX:
         raise SchemaError(
             path,
             f"rational literals are limited to {RATIONAL_MAX_DIGITS} digits, "

@@ -420,6 +420,7 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
     star_pows = [Element.one(w.basis, w.backend)]
     for _ in range(order):
         star_pows.append(star(star_pows[-1], w, z, form))
+    left = [star(p, v, z, form) for p in star_pows]
 
     orders = []
     cumulative = Element.zero(w.basis, w.backend)
@@ -428,7 +429,7 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
         term = Element.zero(w.basis, w.backend)
         for l in range(r + 1):
             m = r - l
-            piece = star(star(star_pows[l], v, z, form), star_pows[m], z, form)
+            piece = star(left[l], star_pows[m], z, form)
             coeff = Fraction((-1) ** m, math.factorial(l) * math.factorial(m))
             term = term + piece.scale(coeff)
         orders.append(term)

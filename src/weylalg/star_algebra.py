@@ -8,19 +8,26 @@ graded-antisymmetric part of the form; note the resulting factor 2 in
 {q, p} = 2 for the Darboux pairing q p = 1 (the sharp map satisfies
 2 v-sharp = phi for inner derivations, consistently).
 
-On the exact backend, ``star``, ``poisson_bracket`` and
-``equivalence_transform`` leave ``QC`` at entry: the operands, the form
-entries and z become Python-int numerators over one positive denominator
-each (``scalars.numerators``), a real part and, only where some imaginary
-part is nonzero, an imaginary part.  The monomial kernels run on those
-ints, at most four calls per contraction step (real and imaginary parts
-of operand and form), and z^k/k! with the form's denominator power is
-folded into one shared output denominator.  Each output coefficient is
-reduced by a gcd once, when it is built.  The float backend runs the same
-loop on its complex coefficients over the denominator 1, in the order of
-operations of the plain series, so its values are that series' bit for
-bit.  Exact results are literal values, independent of any evaluation
-order; every function is pure and thread-safe.
+``star``, ``poisson_bracket`` and ``equivalence_transform`` pack every
+monomial into one Python int at entry and unpack once at exit
+(``_kernels_py``): generator i's exponent sits in bits [W*i, W*(i+1)),
+where W is the bit length of the largest exponent an output can reach
+(the sum of the operands' largest for star and bracket, the operand's
+largest for the equivalence), and a tensor-pair key is eA | eB << W*d.
+
+On the exact backend the three operations also leave ``QC`` at entry:
+the operands, the form entries and z become Python-int numerators over
+one positive denominator each (``scalars.numerators``), a real part and,
+only where some imaginary part is nonzero, an imaginary part.  The
+monomial kernels run on those ints, at most four calls per contraction
+step (real and imaginary parts of operand and form), and z^k/k! with the
+form's denominator power is folded into one shared output denominator.
+Each output coefficient is reduced by a gcd once, when it is built.  The
+float backend runs the same loop on its complex coefficients over the
+denominator 1, in the order of operations of the plain series, so its
+values are that series' bit for bit.  Exact results are literal values,
+independent of any evaluation order; every function is pure and
+thread-safe.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from fractions import Fraction
 from . import _kernels_py as K
 from . import scalars
 from .basis import require_same_basis
-from .bilinear_forms import BilinearForm, _laplace_entries, _tensor_terms, lambda_parts
+from .bilinear_forms import BilinearForm, _laplace_entries, lambda_parts
 from .errors import DomainError, ParityBlockError
 from .graded_poly import Element, _accumulate
 
@@ -44,16 +51,16 @@ def star(a: Element, b: Element, z, form: BilinearForm) -> Element:
     """
     require_same_basis(a, b)
     require_same_basis(a, form)
-    mask = a.basis.odd_mask
-    da, xs = _parts(a.backend, a.terms)
-    db, ys = _parts(a.backend, b.terms)
+    lay = K.product_layout(a.basis, a.terms, b.terms)
+    da, xs = _parts(a.backend, K.pack(a.terms, lay))
+    db, ys = _parts(a.backend, K.pack(b.terms, lay))
     dl, lam = _entry_parts(a.backend, form._entries)
-    u = _bilinear(_tensor_terms, xs, ys)
+    u = _bilinear(lambda x, y: K.tensor_terms(x, y, lay), xs, ys)
     steps = []
     while any(u):
-        steps.append(tuple(K.mu_terms(t, mask) for t in u))
-        u = _bilinear(lambda t, e: K.contract_terms(t, e, mask), u, lam)
-    return _exp_sum(a, z, steps, da * db, dl)
+        steps.append(tuple(K.mu_terms(t, lay) for t in u))
+        u = _bilinear(lambda t, e: K.contract_terms(t, e, lay), u, lam)
+    return _exp_sum(a, z, steps, da * db, dl, lay)
 
 
 def star_hbar(a: Element, b: Element, hbar, form: BilinearForm) -> Element:
@@ -68,15 +75,14 @@ def poisson_bracket(a: Element, b: Element, form: BilinearForm) -> Element:
     require_same_basis(a, b)
     require_same_basis(a, form)
     _, minus = lambda_parts(form)
-    mask = a.basis.odd_mask
-    da, xs = _parts(a.backend, a.terms)
-    db, ys = _parts(a.backend, b.terms)
+    lay = K.product_layout(a.basis, a.terms, b.terms)
+    da, xs = _parts(a.backend, K.pack(a.terms, lay))
+    db, ys = _parts(a.backend, K.pack(b.terms, lay))
     dm, lam = _entry_parts(a.backend, minus._entries)
-    u = _bilinear(
-        lambda t, e: K.contract_terms(t, e, mask), _bilinear(_tensor_terms, xs, ys), lam
-    )
-    steps = [tuple(K.mu_terms(t, mask) for t in u)]
-    return _element(a, steps, [_scalar_parts(a.backend, 2)[1]], da * db * dm)
+    u = _bilinear(lambda x, y: K.tensor_terms(x, y, lay), xs, ys)
+    u = _bilinear(lambda t, e: K.contract_terms(t, e, lay), u, lam)
+    steps = [tuple(K.mu_terms(t, lay) for t in u)]
+    return _element(a, steps, [_scalar_parts(a.backend, 2)[1]], da * db * dm, lay)
 
 
 def graded_commutator(a: Element, b: Element, z, form: BilinearForm) -> Element:
@@ -105,22 +111,23 @@ def equivalence_transform(a: Element, z, g: BilinearForm) -> Element:
     graded-symmetric g, whenever their antisymmetric parts agree.
     """
     require_same_basis(a, g)
-    mask = a.basis.odd_mask
-    da, cur = _parts(a.backend, a.terms)
+    lay = K.Layout.of(a.basis, K.top_exponent(a.terms))
+    da, cur = _parts(a.backend, K.pack(a.terms, lay))
     dg, gam = _entry_parts(a.backend, _laplace_entries(g))
     steps = []
     while any(cur):
         steps.append(cur)
-        cur = _bilinear(lambda t, e: K.laplace_bulk(t, e, mask), cur, gam)
-    return _exp_sum(a, z, steps, da, dg)
+        cur = _bilinear(lambda t, e: K.laplace_bulk(t, e, lay), cur, gam)
+    return _exp_sum(a, z, steps, da, dg, lay)
 
 
-# -- integer numerators ----------------------------------------------------
+# -- integer numerators on packed monomials --------------------------------
 #
 # A value is a tuple of its parts: (re,) when it is real, else (re, im).
 # On the exact backend the parts hold Python ints, numerators over a
 # denominator kept beside them; on the float backend a value is its one
-# part of complex coefficients over the denominator 1.
+# part of complex coefficients over the denominator 1.  Term maps are
+# keyed by packed monomials (``_kernels_py``) from entry to exit.
 
 
 def _parts(backend, values):
@@ -170,7 +177,7 @@ def _gauss_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _exp_sum(a: Element, z, steps, den, step_den) -> Element:
+def _exp_sum(a: Element, z, steps, den, step_den, lay) -> Element:
     """sum_k z^k/k! steps[k] / (den * step_den^k), an Element like a.
 
     On the exact backend, with z = Z/dz and n the last k, the k-th weight
@@ -196,14 +203,14 @@ def _exp_sum(a: Element, z, steps, den, step_den) -> Element:
         for k in range(len(steps)):
             weights.append((scalars.mul_rat(a.backend, zk, Fraction(1, math.factorial(k))),))
             zk = zk * zp[0]
-    return _element(a, steps, weights, den)
+    return _element(a, steps, weights, den, lay)
 
 
-def _element(a: Element, steps, weights, den) -> Element:
+def _element(a: Element, steps, weights, den, lay) -> Element:
     """The Element sum_k weights[k] steps[k] / den over a's basis and backend.
 
-    Terms accumulate in step order; on the exact backend each coefficient
-    becomes a ``QC`` once, at the end.
+    Terms accumulate in step order on packed monomials, unpacked once at
+    the end; on the exact backend each coefficient becomes a ``QC`` once.
     """
     out = ({}, {})
     for parts, w in zip(steps, weights):
@@ -215,9 +222,8 @@ def _element(a: Element, steps, weights, den) -> Element:
                 cw = -wq if p & q else wq
                 for e, c in part.items():
                     _accumulate(target, e, c * cw)
-    if a.backend == "exact":
-        return Element(a.basis, a.backend, scalars.from_numerators(den, *out))
-    return Element(a.basis, a.backend, out[0])
+    terms = scalars.from_numerators(den, *out) if a.backend == "exact" else out[0]
+    return Element(a.basis, a.backend, K.unpack(terms, lay))
 
 
 def translate(a: Element, phi) -> Element:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from weylalg import series_engine
 from weylalg import (
     BilinearForm,
     DomainError,
@@ -350,6 +351,21 @@ def test_inner_translation_matches_translate():
                 for nm in B2.names
             }
             assert res["lhs_element"] == translate(v, phi)
+
+
+def test_inner_translation_builds_each_left_product_once(monkeypatch):
+    # order 10: w^{*l} for l = 1..10, w^{*l} * v for l = 0..10, and one
+    # product with w^{*m} for each of the 66 pairs l + m <= 10
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return star(*args)
+
+    monkeypatch.setattr(series_engine, "star", counted)
+    res = inner_translation_check(Q + P.scale(2), P, QC(Fraction(1, 3)), DARBOUX, 10)
+    assert len(calls) == 10 + 11 + 66
+    assert all(res["per_degree_match"])
 
 
 def test_truncated_series_validates_components():
