@@ -335,6 +335,8 @@ def is_poisson_map(A, form_v: BilinearForm, form_w: BilinearForm) -> bool:
         for c in range(bv.dimension):
             if rows[r][c] and bw.parity(r) != bv.parity(c):
                 raise ParityBlockError("the linear map does not preserve parity")
+    if form_v.backend == form_w.backend == "exact":
+        return _is_poisson_map_exact(rows, form_v, form_w)
     for c1 in range(bv.dimension):
         for c2 in range(bv.dimension):
             total = scalars.zero(form_v.backend)
@@ -343,6 +345,40 @@ def is_poisson_map(A, form_v: BilinearForm, form_w: BilinearForm) -> bool:
             if total != form_v.matrix[c1][c2]:
                 return False
     return True
+
+
+def _is_poisson_map_exact(rows, form_v, form_w) -> bool:
+    """A^T Lambda_W A == Lambda_V as Gaussian-integer matrices.
+
+    A, Lambda_W and Lambda_V become numerators over one denominator each
+    (dA, dW, dV), so the test is dV (A^T Lambda_W A)[c1][c2] ==
+    dA^2 dW Lambda_V[c1][c2] on integers, with no ``QC`` per product.
+    """
+    da, a = _gaussian({(r, c): x for r, row in enumerate(rows) for c, x in enumerate(row)})
+    dw, lam = _gaussian({(i, j): c for i, j, c in form_w._entries})
+    dv, target = _gaussian({(i, j): c for i, j, c in form_v._entries})
+    scale = da * da * dw
+    d = form_v.basis.dimension
+    for c1 in range(d):
+        for c2 in range(d):
+            re = im = 0
+            for (r1, r2), (lr, li) in lam.items():
+                x, y = a.get((r1, c1)), a.get((r2, c2))
+                if x and y:
+                    pr, pi = x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+                    re += pr * lr - pi * li
+                    im += pr * li + pi * lr
+            tr, ti = target.get((c1, c2), (0, 0))
+            if re * dv != tr * scale or im * dv != ti * scale:
+                return False
+    return True
+
+
+def _gaussian(values):
+    """(den, {key: (re, im)}) of a map of exact scalars, numerators over den."""
+    den, parts = scalars.numerators(values)
+    re, im = parts[0], parts[1] if len(parts) > 1 else {}
+    return den, {k: (re.get(k, 0), im.get(k, 0)) for k in values if k in re or k in im}
 
 
 # -- normal forms -------------------------------------------------------

@@ -44,10 +44,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_INPUT = 2
 EXIT_DOMAIN = 3
 EXIT_REFUSED = 4
-# Largest window T*N that `peierls` accepts.  poisson-iso pairs every margin
-# delta with every other, so its time grows with the square of the sites;
-# at 1024 sites it ends in about 35 s on a 2-core host.
+# Largest window T*N that `peierls` accepts with a one-digit m2 such as 0,
+# 1/3 or 5/2.  poisson-iso pairs every margin delta with every other, so
+# its time grows with the square of the sites; at 1024 sites it ends in
+# about 35 s on a 2-core host.
 PEIERLS_MAX_SITES = 1024
+# The Green kernel's rows carry m2's denominator to the power T-3, so each
+# pairing also costs more with every digit d of m2's numerator and
+# denominator together: `peierls` accepts (T*N)^2 * d up to its value at
+# the site cap with d = 2.  The slowest admitted poisson-iso runs measured
+# took 38 s (26x27, m2 = 1/999) and 28 s (32x16, m2 = 1/9999999).
+PEIERLS_MAX_DIGIT_WORK = 2 * PEIERLS_MAX_SITES**2
 
 
 def main(argv=None) -> int:
@@ -362,11 +369,14 @@ def cmd_divergence(args) -> int:
 def cmd_peierls(args) -> int:
     if args.T < 3 or args.N < 3:
         raise SchemaError("T/N", "lattice bounds leave no interior margin")
-    if args.T * args.N > PEIERLS_MAX_SITES:
+    m2 = jsonio.rational_from_json(args.m2, "--m2")
+    digits = len(str(abs(m2.numerator))) + len(str(m2.denominator))
+    if (args.T * args.N) ** 2 * digits > PEIERLS_MAX_DIGIT_WORK:
         raise RefusedPreconditionError(
-            f"lattice windows are limited to T*N <= {PEIERLS_MAX_SITES} sites"
+            f"lattice windows are limited to (T*N)^2 * d <= {PEIERLS_MAX_DIGIT_WORK}, d the "
+            f"digits of m2 ({PEIERLS_MAX_SITES} sites for a one-digit m2)"
         )
-    st = LatticeSpacetime(args.T, args.N, jsonio.rational_from_json(args.m2, "--m2"))
+    st = LatticeSpacetime(args.T, args.N, m2)
     scale = jsonio.rational_from_json(args.scale, "--scale")
     if args.scenario == "locality":
         report = _peierls_locality(st, scale)

@@ -12,6 +12,11 @@ one tuple per distinct ordering of a monomial's generators, up to
 degree! of them, which is why it is materialized lazily per degree and
 never used for storage.  All values are immutable after construction and
 every operation is a pure function, safe for concurrent use.
+
+Products run on packed monomials (``_kernels_py``) and, on the exact
+backend, on Python-int numerators over one denominator per operand
+(``_parts``), so each output coefficient is built once, as a ``QC``,
+whatever exact type the inputs held.
 """
 
 from __future__ import annotations
@@ -164,8 +169,10 @@ class Element:
             return NotImplemented
         require_same_basis(self, other)
         lay = K.product_layout(self.basis, self.terms, other.terms)
-        terms = K.mul_terms(K.pack(self.terms, lay), K.pack(other.terms, lay), lay)
-        return Element(self.basis, self.backend, K.unpack(terms, lay))
+        d1, xs = _parts(self.backend, K.pack(self.terms, lay))
+        d2, ys = _parts(self.backend, K.pack(other.terms, lay))
+        parts = _bilinear(lambda x, y: K.mul_terms(x, y, lay), xs, ys)
+        return _from_parts(self, d1 * d2, parts, lay)
 
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
@@ -310,6 +317,53 @@ def _accumulate(terms, key, c):
         del terms[key]
     else:
         terms[key] = s
+
+
+# -- integer numerators on packed monomials --------------------------------
+#
+# A value is a tuple of its parts: (re,) when it is real, else (re, im).
+# On the exact backend the parts hold Python ints, numerators over a
+# denominator kept beside them; on the float backend a value is its one
+# part of complex coefficients over the denominator 1.  Term maps are
+# keyed by packed monomials (``_kernels_py``) from entry to exit.
+
+
+def _parts(backend, values):
+    """(denominator, parts) of a map of scalars (see ``scalars.numerators``)."""
+    if backend == "exact":
+        return scalars.numerators(values)
+    return 1, (values,)
+
+
+def _bilinear(f, xs, ys):
+    """The parts of f(x, y) for a bilinear f, from the parts of x and y.
+
+    One call of f per pair of parts; an imaginary part that comes out
+    zero is dropped, so real inputs stay on one part.
+    """
+    if len(xs) == 1 or len(ys) == 1:
+        parts = [f(x, y) for x in xs for y in ys]
+    else:
+        (xr, xi), (yr, yi) = xs, ys
+        parts = [_merge(f(xr, yr), f(xi, yi), -1), _merge(f(xr, yi), f(xi, yr), 1)]
+    return tuple(parts if parts[-1] else parts[:1])
+
+
+def _merge(terms, other, sign):
+    """terms + sign * other, in place in ``terms``."""
+    for key, c in other.items():
+        _accumulate(terms, key, c if sign > 0 else -c)
+    return terms
+
+
+def _from_parts(a: Element, den, parts, lay=None) -> Element:
+    """The Element over a's basis and backend with the parts over ``den``.
+
+    Keys are unpacked with ``lay`` when one is given; on the exact
+    backend each coefficient becomes a ``QC`` once.
+    """
+    terms = scalars.from_numerators(den, *parts) if a.backend == "exact" else parts[0]
+    return Element(a.basis, a.backend, terms if lay is None else K.unpack(terms, lay))
 
 
 def _distinct_permutations(items):

@@ -8,7 +8,10 @@ Two coefficient backends are supported throughout the package:
 * ``"float"`` -- ordinary Python ``complex`` (binary64 pairs).  Round-off
   applies; numeric comparisons use relative tolerances.
 
-The rational parts are :class:`fractions.Fraction`.  Callers use
+The rational parts are :class:`fractions.Fraction`.  ``QC(re, im)``
+takes ``int``, ``Fraction`` or ``QC`` arguments and means re + i*im, as
+``complex(re, im)`` reads complex arguments, so ``QC(c)`` of an exact
+coefficient is that coefficient.  Callers use
 ``.conjugate()``, ``abs()``, ``complex()`` and truth testing directly; only
 what depends on the backend lives here (:func:`coerce`, :func:`from_rational`,
 :func:`mul_rat`, :func:`abs_exact`, :func:`log_abs`).  Bulk exact arithmetic
@@ -37,6 +40,13 @@ class QC:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
+        if isinstance(re, QC) or isinstance(im, QC):
+            # re + i*im, as complex(re, im) reads complex arguments
+            re = re if isinstance(re, QC) else QC(re)
+            im = im if isinstance(im, QC) else QC(im)
+            self.re = re.re - im.im
+            self.im = re.im + im.re
+            return
         self.re = _to_ratio(re)
         self.im = _to_ratio(im)
 
@@ -265,12 +275,14 @@ def numerators(values):
     return den, (re, {k: n * (den // d) for k, (n, d) in im.items()})
 
 
-def from_numerators(den, re, im):
+def from_numerators(den, re, im=None):
     """The map key -> QC(re[key]/den, im[key]/den) of integer numerator maps.
 
-    Keys follow ``re``, then the keys only in ``im``; a missing key is a
-    zero part.  Each Fraction is built, and so reduced, once.
+    Keys follow ``re``, then the keys only in ``im``; a missing key (or a
+    missing ``im``) is a zero part.  Each Fraction is built, and so
+    reduced, once.
     """
+    im = im or {}
     out = {}
     for k, n in re.items():
         m = im.get(k)

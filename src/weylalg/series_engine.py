@@ -34,7 +34,7 @@ from .seminorm_calculus import (
     _weighted_term,
     pn_seminorm,
 )
-from .star_algebra import star
+from .star_algebra import _weighted_sum, star
 
 RATIO_BAND = (0.95, 1.05)
 SLOPE_TOL = 0.01
@@ -426,12 +426,12 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
     cumulative = Element.zero(w.basis, w.backend)
     degree0_partials = []
     for r in range(order + 1):
-        term = Element.zero(w.basis, w.backend)
+        pieces = []
         for l in range(r + 1):
             m = r - l
             piece = star(left[l], star_pows[m], z, form)
-            coeff = Fraction((-1) ** m, math.factorial(l) * math.factorial(m))
-            term = term + piece.scale(coeff)
+            pieces.append((piece, Fraction((-1) ** m, math.factorial(l) * math.factorial(m))))
+        term = _weighted_sum(w, pieces)
         orders.append(term)
         cumulative = cumulative + term
         c0 = cumulative.grade_component(0)

@@ -22,12 +22,24 @@ only where some imaginary part is nonzero, an imaginary part.  The
 monomial kernels run on those ints, at most four calls per contraction
 step (real and imaginary parts of operand and form), and z^k/k! with the
 form's denominator power is folded into one shared output denominator.
-Each output coefficient is reduced by a gcd once, when it is built.  The
-float backend runs the same loop on its complex coefficients over the
-denominator 1, in the order of operations of the plain series, so its
-values are that series' bit for bit.  Exact results are literal values,
-independent of any evaluation order; every function is pure and
-thread-safe.
+Each output coefficient is reduced by a gcd once, when it is built.
+
+``translate``, ``apply_linear`` and ``Element.__mul__`` cross the same
+boundary.  ``translate`` keeps the binomial expansion x^k = sum_j
+C(k, j) v^(k-j) x^j; with the shifts v = V/dv over one denominator its
+weights are the Gaussian integers C(k, j) V^(k-j) dv^j over dv^k, and
+each term is padded to the largest shifted degree.  ``apply_linear``
+folds each term left to right with the generator images, as numerator
+maps over one denominator dm, and pads a term of degree k by
+dm^(top - k).  ``inner_translation_check`` sums its pieces through
+``_weighted_sum``, one numerator accumulation per order.
+
+The float backend runs the same loops on its complex coefficients over
+the denominator 1, in the order of operations of the plain series and
+loops (the factor v^(k-j) * C(k, j) per power, the fold from
+one * coefficient), so its values are theirs bit for bit.  Exact
+results are literal values, independent of any evaluation order; every
+function is pure and thread-safe.
 """
 
 from __future__ import annotations
@@ -40,7 +52,7 @@ from . import scalars
 from .basis import require_same_basis
 from .bilinear_forms import BilinearForm, _laplace_entries, lambda_parts
 from .errors import DomainError, ParityBlockError
-from .graded_poly import Element, _accumulate
+from .graded_poly import Element, _accumulate, _bilinear, _from_parts, _parts
 
 
 def star(a: Element, b: Element, z, form: BilinearForm) -> Element:
@@ -121,20 +133,7 @@ def equivalence_transform(a: Element, z, g: BilinearForm) -> Element:
     return _exp_sum(a, z, steps, da, dg, lay)
 
 
-# -- integer numerators on packed monomials --------------------------------
-#
-# A value is a tuple of its parts: (re,) when it is real, else (re, im).
-# On the exact backend the parts hold Python ints, numerators over a
-# denominator kept beside them; on the float backend a value is its one
-# part of complex coefficients over the denominator 1.  Term maps are
-# keyed by packed monomials (``_kernels_py``) from entry to exit.
-
-
-def _parts(backend, values):
-    """(denominator, parts) of a map of scalars (see ``scalars.numerators``)."""
-    if backend == "exact":
-        return scalars.numerators(values)
-    return 1, (values,)
+# -- integer numerators on packed monomials (see ``graded_poly._parts``) ---
 
 
 def _entry_parts(backend, entries):
@@ -147,27 +146,6 @@ def _scalar_parts(backend, x):
     """(denominator, parts) of one scalar, each part a number."""
     den, parts = _parts(backend, {0: scalars.coerce(backend, x)})
     return den, tuple(p.get(0, 0) for p in parts)
-
-
-def _bilinear(f, xs, ys):
-    """The parts of f(x, y) for a bilinear f, from the parts of x and y.
-
-    One call of f per pair of parts; an imaginary part that comes out
-    zero is dropped, so real inputs stay on one part.
-    """
-    if len(xs) == 1 or len(ys) == 1:
-        parts = [f(x, y) for x in xs for y in ys]
-    else:
-        (xr, xi), (yr, yi) = xs, ys
-        parts = [_merge(f(xr, yr), f(xi, yi), -1), _merge(f(xr, yi), f(xi, yr), 1)]
-    return tuple(parts if parts[-1] else parts[:1])
-
-
-def _merge(terms, other, sign):
-    """terms + sign * other, in place in ``terms``."""
-    for key, c in other.items():
-        _accumulate(terms, key, c if sign > 0 else -c)
-    return terms
 
 
 def _gauss_mul(x, y):
@@ -206,11 +184,12 @@ def _exp_sum(a: Element, z, steps, den, step_den, lay) -> Element:
     return _element(a, steps, weights, den, lay)
 
 
-def _element(a: Element, steps, weights, den, lay) -> Element:
+def _element(a: Element, steps, weights, den, lay=None) -> Element:
     """The Element sum_k weights[k] steps[k] / den over a's basis and backend.
 
     Terms accumulate in step order on packed monomials, unpacked once at
-    the end; on the exact backend each coefficient becomes a ``QC`` once.
+    the end (``lay=None``: keys are exponent tuples already); on the
+    exact backend each coefficient becomes a ``QC`` once.
     """
     out = ({}, {})
     for parts, w in zip(steps, weights):
@@ -222,8 +201,24 @@ def _element(a: Element, steps, weights, den, lay) -> Element:
                 cw = -wq if p & q else wq
                 for e, c in part.items():
                     _accumulate(target, e, c * cw)
-    terms = scalars.from_numerators(den, *out) if a.backend == "exact" else out[0]
-    return Element(a.basis, a.backend, K.unpack(terms, lay))
+    return _from_parts(a, den, out, lay)
+
+
+def _weighted_sum(a: Element, pairs) -> Element:
+    """sum q x over the pairs (x, q) of Elements like a and rationals q.
+
+    On the exact backend the x become numerators over one output
+    denominator, and each output coefficient is built once.  On the float
+    backend c * q accumulates in pair order, as a sum of ``x.scale(q)``
+    computes it.
+    """
+    if a.backend != "exact":
+        steps = [(x.terms,) for x, _ in pairs]
+        return _element(a, steps, [(scalars.coerce(a.backend, q),) for _, q in pairs], 1)
+    parts = [(scalars.numerators(x.terms), Fraction(q)) for x, q in pairs]
+    den = math.lcm(*(d * q.denominator for (d, _), q in parts))
+    weights = [(q.numerator * (den // (d * q.denominator)),) for (d, _), q in parts]
+    return _element(a, [p for (_, p), _ in parts], weights, den)
 
 
 def translate(a: Element, phi) -> Element:
@@ -246,26 +241,55 @@ def translate(a: Element, phi) -> Element:
         shifts[i] = v
     if not shifts:
         return a
-    out = Element.zero(b, a.backend)
-    for e, c in a.terms.items():
-        expansion = {tuple(e): c}
-        for i, v in shifts.items():
-            k = e[i]
-            if not k:
-                continue
-            new_expansion = {}
-            for ee, cc in expansion.items():
-                for j in range(k + 1):
-                    factor = scalars.mul_rat(a.backend, v ** (k - j), math.comb(k, j))
-                    e2 = ee[:i] + (j,) + ee[i + 1 :]
-                    prev = new_expansion.get(e2)
-                    new_expansion[e2] = (
-                        cc * factor if prev is None else prev + cc * factor
-                    )
-            expansion = new_expansion
-        for ee, cc in expansion.items():
-            _accumulate(out.terms, ee, cc)
-    return out
+    lay = K.Layout.of(b, K.top_exponent(a.terms))
+    packed = K.pack(a.terms, lay)
+    da, xs = _parts(a.backend, packed)
+    dv, vs = _parts(a.backend, shifts)
+    fm = lay.fmask
+    spans = [(lay.shifts[i], tuple(p.get(i, 0) for p in vs)) for i in shifts]
+    exact = a.backend == "exact"
+    # the largest shifted degree: every term is padded to dv^top
+    top = max((sum(e >> s & fm for s, _ in spans) for e in packed), default=0)
+    weights = {}
+    out = ({}, {})
+    for e in packed:
+        powers = [(s, v, k) for s, v in spans if (k := e >> s & fm)]
+        g = tuple(x.get(e, 0) for x in xs)
+        if exact:
+            pad = dv ** (top - sum(k for _, _, k in powers))
+            g = tuple(x * pad for x in g)
+        expansion = {e: g}
+        for s, v, k in powers:
+            ws = weights.get((s, k))
+            if ws is None:
+                ws = weights[s, k] = _binomial_weights(a.backend, v, dv, k, s)
+            expansion = {
+                ee - dk: _gauss_mul(gg, w) for ee, gg in expansion.items() for dk, w in ws
+            }
+        for ee, gg in expansion.items():
+            for target, x in zip(out, gg):
+                _accumulate(target, ee, x)
+    return _from_parts(a, da * dv**top, out, lay)
+
+
+def _binomial_weights(backend, v, dv, k, shift):
+    """x^k = sum_j C(k, j) v^(k-j) x^j for the shift v of one generator.
+
+    Returns the pairs (packed decrement x^k -> x^j, weight), j ascending.
+    On the exact backend, with v = V/dv, the weight is the Gaussian
+    integer C(k, j) V^(k-j) dv^j over dv^k; on the float backend it is
+    v^(k-j) * C(k, j) as the plain expansion computes it.
+    """
+    out = []
+    vk = (1,)
+    for j in range(k, -1, -1):
+        if backend == "exact":
+            w = tuple(math.comb(k, j) * dv**j * x for x in vk)
+            vk = _gauss_mul(vk, v)
+        else:
+            w = (scalars.mul_rat(backend, v[0] ** (k - j), math.comb(k, j)),)
+        out.append(((k - j) << shift, w))
+    return out[::-1]
 
 
 def derivation_X(a: Element, phi) -> Element:
@@ -316,25 +340,45 @@ def apply_linear(a: Element, A) -> Element:
     rows = [list(r) for r in A]
     if len(rows) != b.dimension or any(len(r) != b.dimension for r in rows):
         raise DomainError("map matrix has wrong shape")
-    images = []
+    # each term is padded to the denominator dm^top of the top degree
+    top = max(map(sum, a.terms), default=0)
+    lay = K.Layout.of(b, top)
+    one = scalars.one(a.backend)
+    exact = a.backend == "exact"
+    entries = {}
     for c in range(b.dimension):
-        img = Element.zero(b, a.backend)
         for r in range(b.dimension):
             v = scalars.coerce(a.backend, rows[r][c])
             if not v:
                 continue
             if b.parity(r) != b.parity(c):
                 raise ParityBlockError("the linear map does not preserve parity")
-            img = img + Element.generator(b, b.names[r], a.backend).scale(v)
-        images.append(img)
-    out = Element.zero(b, a.backend)
-    for e, coeff in a.terms.items():
-        term = Element.one(b, a.backend).scale(coeff)
-        for i, k in enumerate(e):
+            # a float image keeps the rounding of generator.scale(v)
+            entries[c, 1 << lay.shifts[r]] = v if exact else one * v
+    dm, parts = _parts(a.backend, entries)
+    images = [tuple({} for _ in parts) for _ in range(b.dimension)]
+    for p, part in enumerate(parts):
+        for (c, key), n in part.items():
+            images[c][p][key] = n
+    packed = K.pack(a.terms, lay)
+    da, xs = _parts(a.backend, packed)
+    out = ({}, {})
+    for e, coeff in packed.items():
+        exps = [e >> s & lay.fmask for s in lay.shifts]
+        if exact:
+            pad = dm ** (top - sum(exps))
+            term = tuple({0: x[e] * pad} if e in x else {} for x in xs)
+        elif coeff:
+            term = ({0: one * coeff},)  # the rounding of Element.one(...).scale(coeff)
+        else:
+            continue
+        for image, k in zip(images, exps):
             for _ in range(k):
-                term = term * images[i]
-        out = out + term
-    return out
+                term = _bilinear(lambda x, y: K.mul_terms(x, y, lay), term, image)
+        for target, part in zip(out, term):
+            for key, c in part.items():
+                _accumulate(target, key, c)
+    return _from_parts(a, da * dm**top, out, lay)
 
 
 def check_star_involution(form: BilinearForm, hbar):

@@ -141,6 +141,131 @@ def product_oracle(a: Element, b: Element) -> Element:
     return tensor_to_element(out, a.basis, a.backend)
 
 
+def plain_product(t1, t2, basis):
+    """Graded product of two {exponent tuple: coefficient} maps as a plain loop.
+
+    Pairs are visited first factor outer, second inner, and each sum is
+    taken in that order; a product with a repeated odd generator is
+    skipped, and the Koszul sign counts the odd generators of the second
+    factor that must move past odd generators of the first.
+    """
+    out = {}
+    for e1, c1 in t1.items():
+        for e2, c2 in t2.items():
+            if any(e1[i] and e2[i] for i in range(basis.dimension) if not basis.is_even(i)):
+                continue
+            moves = sum(
+                1
+                for j in range(basis.dimension)
+                if e2[j] and not basis.is_even(j)
+                for i in range(j + 1, basis.dimension)
+                if e1[i] and not basis.is_even(i)
+            )
+            c = c1 * c2
+            if moves & 1:
+                c = -c
+            key = tuple(x + y for x, y in zip(e1, e2))
+            if key in out:
+                s = out[key] + c
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+            else:
+                out[key] = c
+    return out
+
+
+def _add_into(out, key, c):
+    """out[key] += c, never storing a zero."""
+    if key not in out:
+        if c:
+            out[key] = c
+        return
+    s = out[key] + c
+    if s:
+        out[key] = s
+    else:
+        del out[key]
+
+
+def translate_oracle(a: Element, phi) -> Element:
+    """The pull-back by v -> v + phi(v) 1 as a binomial loop on QC or complex.
+
+    Each term expands generator by generator, x^k = sum_j C(k, j) v^(k-j) x^j,
+    with the factor v^(k-j) * C(k, j) built per term, as the plain loop
+    on scalars computes it.
+    """
+    b, exact = a.basis, a.backend == "exact"
+    shifts = {}
+    for name, v in phi.items():
+        v = QC(v) if exact else complex(v)
+        if v:
+            shifts[b.index(name)] = v
+    out = {}
+    for e, c in a.terms.items():
+        expansion = {e: c}
+        for i, v in shifts.items():
+            k = e[i]
+            if not k:
+                continue
+            grown = {}
+            for ee, cc in expansion.items():
+                for j in range(k + 1):
+                    comb = math.comb(k, j)
+                    factor = v ** (k - j) * (Fraction(comb) if exact else float(comb))
+                    grown[ee[:i] + (j,) + ee[i + 1 :]] = cc * factor
+            expansion = grown
+        for ee, cc in expansion.items():
+            _add_into(out, ee, cc)
+    return Element(b, a.backend, out)
+
+
+def apply_linear_oracle(a: Element, A) -> Element:
+    """The unital homomorphism of the matrix A as a left fold on QC or complex.
+
+    Each term starts from one * coefficient and is multiplied by the
+    image of one generator per unit of exponent (``plain_product``); the
+    image of generator c is sum_r A[r][c] * (one * generator r).
+    """
+    b, exact = a.basis, a.backend == "exact"
+    one = QC(1) if exact else 1 + 0j
+    d = b.dimension
+    images = []
+    for c in range(d):
+        img = {}
+        for r in range(d):
+            v = QC(A[r][c]) if exact else complex(A[r][c])
+            if v:
+                img[tuple(int(i == r) for i in range(d))] = one * v
+        images.append(img)
+    out = {}
+    for e, coeff in a.terms.items():
+        if not coeff:
+            continue
+        term = {(0,) * d: one * coeff}
+        for i, k in enumerate(e):
+            for _ in range(k):
+                term = plain_product(term, images[i], b)
+        for key, c in term.items():
+            _add_into(out, key, c)
+    return Element(b, a.backend, out)
+
+
+def poisson_map_oracle(A, form_v, form_w) -> bool:
+    """form_w(A v, A v') == form_v(v, v') on all generator pairs, summed on QC."""
+    dv, dw = form_v.basis.dimension, form_w.basis.dimension
+    for c1 in range(dv):
+        for c2 in range(dv):
+            total = QC(0)
+            for r1 in range(dw):
+                for r2 in range(dw):
+                    total = total + QC(A[r1][c1]) * QC(A[r2][c2]) * QC(form_w.matrix[r1][r2])
+            if total != form_v.matrix[c1][c2]:
+                return False
+    return True
+
+
 def tilde_contract(pair_tensor, form, basis):
     """The contraction on ordered tensor pairs, signs written out."""
     out = {}

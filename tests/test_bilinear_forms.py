@@ -29,10 +29,12 @@ from weylalg.randoms import (
     random_element,
     random_even_form,
     random_graded_symmetric_form,
+    random_parity_matrix,
     random_rational,
 )
 
 from oracles import pair_tensor_of, pair_tensor_to_pairdict, tilde_contract, tilde_laplace, element_to_tensor, tensor_to_element
+from oracles import poisson_map_oracle
 
 B = default_basis()
 Q = Element.generator(B, "q")
@@ -395,6 +397,39 @@ def test_is_poisson_map_rectangular():
     assert not is_poisson_map(A, nonzero, DARBOUX)
     with pytest.raises(DomainError):
         is_poisson_map([[QC(1)]], zero_form, DARBOUX)  # wrong shape
+
+
+def test_is_poisson_map_on_integers_agrees_with_plain_sums():
+    # complex and real maps and forms on the basis with odd generators,
+    # QC or int/Fraction entries: the integer test gives the booleans of
+    # summing A^T Lambda_W A on QC
+    rng = random.Random(71)
+    d = B.dimension
+    for trial in range(40):
+        cplx = trial % 2 == 1
+        A = random_parity_matrix(rng, B, complex_parts=cplx)
+        if trial % 4 == 2:
+            A = [[x.re for x in row] for row in A]
+        lam_w = random_even_form(rng, B, complex_parts=cplx)
+        pairs = [(r, s) for r in range(d) for s in range(d)]
+        rows = [
+            [
+                sum((QC(A[r][c1]) * QC(A[s][c2]) * lam_w.matrix[r][s] for r, s in pairs), QC(0))
+                for c2 in range(d)
+            ]
+            for c1 in range(d)
+        ]
+        transported = BilinearForm(B, rows)
+        i = rng.randrange(d)
+        j = rng.choice([c for c in range(d) if B.parity(c) == B.parity(i)])
+        nudged = [list(r) for r in rows]
+        nudged[i][j] = nudged[i][j] + (QC(0, Fraction(1, 7)) if cplx else QC(Fraction(1, 7)))
+        nudged = BilinearForm(B, nudged)
+        other = random_even_form(rng, B, complex_parts=cplx)
+        assert is_poisson_map(A, transported, lam_w)
+        assert not is_poisson_map(A, nudged, lam_w)
+        for form_v in (transported, nudged, other):
+            assert is_poisson_map(A, form_v, lam_w) == poisson_map_oracle(A, form_v, lam_w)
 
 
 def test_is_poisson_map_examples():

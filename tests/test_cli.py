@@ -14,7 +14,7 @@ import pytest
 
 import weylalg
 from weylalg import Element, LatticeSection, QC
-from weylalg.cli import PEIERLS_MAX_SITES, main
+from weylalg.cli import PEIERLS_MAX_DIGIT_WORK, PEIERLS_MAX_SITES, main
 from weylalg.jsonio import (
     RATIONAL_MAX_DIGITS,
     RATIONAL_MAX_EXPONENT,
@@ -533,6 +533,31 @@ def test_work_at_the_caps_runs(capsys, monkeypatch):
         monkeypatch,
     )
     assert code == 0 and json.loads(out)["ok"]
+
+
+def test_peierls_mass_digits_beyond_the_cap_are_refused_at_once(capsys, monkeypatch):
+    # the kernel rows carry m2's denominator to the power T-3: a 301-digit
+    # m2 on 24x16 ran for minutes before the cap
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        ["peierls", "poisson-iso", "--T", "24", "--N", "16", "--m2", f"1/{10**300 - 1}"],
+        None,
+        capsys,
+        monkeypatch,
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 4 and out == ""
+    assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+def test_peierls_mass_digits_at_the_cap_run(capsys, monkeypatch):
+    # 8x8 sites admit (T*N)^2 * d up to the cap: d = 512 digits, not 513
+    digits = PEIERLS_MAX_DIGIT_WORK // 64**2
+    for d, expect in ((digits, 0), (digits + 1, 4)):
+        m2 = f"1/{10 ** (d - 1) - 1}"
+        argv = ["peierls", "weyl-gram", "--T", "8", "--N", "8", "--m2", m2]
+        code, out, err = run_cli(argv, None, capsys, monkeypatch)
+        assert code == expect
 
 
 def test_cli_import_does_not_load_dataclasses():

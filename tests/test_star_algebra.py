@@ -7,13 +7,16 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    apply_linear_oracle,
     element_to_tensor,
     pair_tensor_of,
     pair_tensor_to_pairdict,
+    plain_product,
     product_oracle,
     tensor_to_element,
     tilde_contract,
     tilde_laplace,
+    translate_oracle,
 )
 from weylalg import (
     BackendMismatchError,
@@ -44,6 +47,7 @@ from weylalg.randoms import (
     random_even_form,
     random_even_functional,
     random_graded_symmetric_form,
+    random_monomial,
     random_parity_matrix,
     random_scalar,
 )
@@ -534,6 +538,100 @@ def test_apply_linear_intertwines_poisson_maps():
         assert apply_linear(star(a, b, z, lamV), A) == star(
             apply_linear(a, A), apply_linear(b, A), z, lam
         )
+
+
+def _awkward_float(rng):
+    # binary64 parts with signed zeros, subnormals and inexact values
+    def part():
+        values = (0.0, -0.0, 5e-324, -2.5e-310, rng.uniform(-3, 3), rng.uniform(-3, 3) / 7)
+        return rng.choice(values)
+
+    return complex(part(), part())
+
+
+def _float_element(rng, max_degree, n_terms):
+    terms = {random_monomial(rng, B, max_degree): _awkward_float(rng) for _ in range(n_terms)}
+    return Element(B, "float", terms)
+
+
+def _rational(c):
+    # the real part of a QC as an int or a Fraction
+    return int(c.re) if c.re.denominator == 1 else c.re
+
+
+def _bits(terms):
+    return {e: repr(c) for e, c in terms.items()}
+
+
+def test_translate_apply_linear_and_products_against_plain_loops():
+    # exact results equal plain QC loops literally, whatever the inputs'
+    # types; float results equal them bit for bit, signed zeros included
+    rng = random.Random(67)
+    for trial in range(48):
+        kind = ("real", "complex", "int/Fraction", "float")[trial % 4]
+        deg = (2, 3, 5, 6)[trial // 4 % 4]
+        n_terms = rng.randint(1, 6)
+        if kind == "float":
+            a, b = _float_element(rng, deg, n_terms), _float_element(rng, deg, 3)
+            A = [
+                [_awkward_float(rng) if B.parity(r) == B.parity(c) else 0j for c in range(4)]
+                for r in range(4)
+            ]
+            shift = (0.0, -0.0, rng.uniform(-2, 2))
+            phi = {n: complex(rng.choice(shift), rng.uniform(-2, 2)) for n in ("q", "p")}
+            assert _bits((a * b).terms) == _bits(plain_product(a.terms, b.terms, B))
+            assert _bits(translate(a, phi).terms) == _bits(translate_oracle(a, phi).terms)
+            assert _bits(apply_linear(a, A).terms) == _bits(apply_linear_oracle(a, A).terms)
+            continue
+        cplx = kind == "complex"
+        a = random_element(rng, B, max_degree=deg, n_terms=n_terms, complex_parts=cplx)
+        cb = cplx and trial % 8 == 1
+        b = random_element(rng, B, max_degree=deg, n_terms=3, complex_parts=cb)
+        A = random_parity_matrix(rng, B, complex_parts=cplx)
+        phi = {n: random_scalar(rng, complex_parts=cplx) for n in ("q", "p") if rng.random() < 0.8}
+        if kind == "int/Fraction":
+            a = Element(B, "exact", {e: _rational(c) for e, c in a.terms.items()})
+            b = Element(B, "exact", {e: _rational(c) for e, c in b.terms.items()})
+            A = [[_rational(x) for x in row] for row in A]
+            phi = {n: _rational(v) for n, v in phi.items()}
+        ab, image = a * b, apply_linear(a, A)
+        assert ab == product_oracle(a, b)
+        assert translate(a, phi) == translate_oracle(a, phi)
+        assert image == apply_linear_oracle(a, A)
+        # int/Fraction inputs give QC coefficients too
+        assert all(type(c) is QC for x in (ab, image) for c in x.terms.values())
+
+
+def test_exact_translate_and_apply_linear_arithmetic_does_not_grow_with_degree(monkeypatch):
+    # both maps work on integer numerators: their QC arithmetic is a small
+    # multiple of the terms in and out, at any degree
+    A = [
+        [QC(1), QC(Fraction(1, 2), 1), 0, 0],
+        [QC(0, -1), Fraction(2, 3), 0, 0],
+        [0, 0, 1, QC(3, 1)],
+        [0, 0, Fraction(-1, 2), 2],
+    ]
+    phi = {"q": QC(Fraction(1, 2), 1), "p": Fraction(-2, 3)}
+    cases = [(P + Q.scale(QC(0, Fraction(1, 2))) + E1) ** deg for deg in (3, 6)]
+    ops = []
+
+    def counting(fn):
+        def wrapper(*args):
+            ops.append(fn)
+            return fn(*args)
+
+        return wrapper
+
+    for name in QC_ARITHMETIC:
+        monkeypatch.setattr(QC, name, counting(QC.__dict__[name]))
+    per_term = []
+    for a in cases:
+        for f in (lambda x: apply_linear(x, A), lambda x: translate(x, phi)):
+            ops.clear()
+            out = f(a)
+            per_term.append(len(ops) / (len(a.terms) + len(out.terms)))
+    assert max(per_term) <= 2
+    assert per_term[2] <= per_term[0] and per_term[3] <= per_term[1]
 
 
 def test_involution_examples():
