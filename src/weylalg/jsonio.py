@@ -22,7 +22,7 @@ from fractions import Fraction
 from . import scalars
 from .basis import GeneratorBasis
 from .bilinear_forms import BilinearForm
-from .errors import DomainError
+from .errors import DomainError, RefusedPreconditionError
 from .graded_poly import Element, Monomial
 from .peierls import LatticeSection
 from .seminorm_calculus import WeightedSeminorm
@@ -66,6 +66,15 @@ def rational_from_json(value, path) -> Fraction:
     return q
 
 
+def _text(q: Fraction) -> str:
+    """str(q) of an exact output value, refused past the int-str digit limit."""
+    try:
+        return str(q)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise RefusedPreconditionError(f"an exact value passes {limit} digits") from None
+
+
 def _expect(cond, path, message):
     if not cond:
         raise SchemaError(path, message)
@@ -96,7 +105,7 @@ def basis_from_json(doc, path="basis"):
 
 def scalar_to_json(c, backend):
     if backend == "exact":
-        return {"re": str(c.re), "im": str(c.im)}
+        return {"re": _text(c.re), "im": _text(c.im)}
     return {"re": c.real, "im": c.imag}
 
 
@@ -167,7 +176,7 @@ def form_to_json(form: BilinearForm):
     if form.backend == "exact":
         matrix = [
             [
-                str(c.re) if c.im == 0 else {"re": str(c.re), "im": str(c.im)}
+                _text(c.re) if c.im == 0 else {"re": _text(c.re), "im": _text(c.im)}
                 for c in row
             ]
             for row in form.matrix
@@ -221,7 +230,7 @@ def seminorm_from_json(doc, basis, path="seminorm"):
 
 def section_to_json(u: LatticeSection):
     return {
-        f"{t},{x}": str(v)
+        f"{t},{x}": _text(v)
         for (t, x), v in sorted(u.values.items())
     }
 
@@ -245,9 +254,9 @@ def dumps(doc) -> str:
 
 def _fallback(x):
     if isinstance(x, Fraction):
-        return str(x)
+        return _text(x)
     if isinstance(x, scalars.QC):
-        return {"re": str(x.re), "im": str(x.im)}
+        return {"re": _text(x.re), "im": _text(x.im)}
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
     raise TypeError(f"cannot serialize {type(x)!r}")

@@ -14,20 +14,23 @@ The overall sign of the canonical two-slice pairing is fixed once so that
 restriction to any slice pair is a Poisson morphism onto the covariant
 pairing (see ``SIGMA_SIGN``).
 
-The computation rests on three exact pieces:
+Sums with many terms run on integer numerators over one denominator
+(``scalars.numerators``); the counting pairing, whose two supports share
+few sites, sums plain ``Fraction``s.  The integer sums are three:
 
-- One Green kernel per spacetime.  The wave operator commutes with the
-  periodic space shifts and, inside the window, with time shifts, so the
-  retarded Green operator of delta(t0, x0) at (t0+1+s, x) is the kernel
-  entry ``K[s][(x - x0) mod N]`` and the advanced one at (t0-1-s, x) is
-  the same entry.  The T-2 rows of ``K`` come from one leapfrog of a unit
-  delta, built on first use.  Every Green operator, the propagator and
+- Sparse kernel rows, one Green kernel per spacetime.  The wave operator
+  commutes with the periodic space shifts and, inside the window, with
+  time shifts, so the retarded Green operator of delta(t0, x0) at
+  (t0+1+s, x) is the kernel entry ``K[s][(x - x0) mod N]`` and the
+  advanced one at (t0-1-s, x) is the same entry.  The T-2 rows of ``K``
+  come from one leapfrog of a unit delta, built on first use, and keep
+  only their nonzero entries.  Every Green operator, the propagator and
   the two-slice restriction are sums of shifted kernel rows, shifted and
   summed in one place, ``_kernel_rows``.
 - Integer Wronskians.  Each ``CauchyPair`` keeps its slices as integer
   numerators over one positive denominator, so ``lambda_sigma`` is one
   integer dot product and one division.
-- Fraction-free elimination.  ``exact_rank`` and ``_solve_exact`` share
+- Fraction-free elimination rows.  ``exact_rank`` and ``_solve_exact`` share
   one Jordan elimination on sparse integer rows that are kept primitive
   (each divided by the gcd of its entries), as in Geddes, Czapor and
   Labahn, *Algorithms for Computer Algebra* (1992).
@@ -121,8 +124,9 @@ class CauchyPair:
         self.u1 = tuple(Fraction(v) for v in u1)
         if len(self.u0) != len(self.u1):
             raise DomainError("slices must have equal length")
-        nums, self._den = _numerators(self.u0 + self.u1)
-        self._num0, self._num1 = nums[: len(self.u0)], nums[len(self.u0) :]
+        self._den, (nums,) = scalars.numerators(dict(enumerate(self.u0 + self.u1)))
+        num = [nums.get(i, 0) for i in range(2 * self.sites)]
+        self._num0, self._num1 = num[: self.sites], num[self.sites :]
 
     @property
     def sites(self):
@@ -201,8 +205,9 @@ class LatticeSpacetime:
         ]
 
     def _green_kernel(self):
-        """(K, den): rows K[0..T-3] of integer numerators over den, the
-        retarded Green operator of delta(t0, 0) on slices t0+1, t0+2, ...
+        """(K, den): sparse rows K[0..T-3], each {x: nonzero int numerator}
+        over den, of the retarded Green operator of delta(t0, 0) on slices
+        t0+1, t0+2, ...
 
         One leapfrog of a unit delta, built on first use.
         """
@@ -213,9 +218,12 @@ class LatticeSpacetime:
             for _ in range(self.T - 3):
                 prev, cur = cur, self._forward_step(prev, cur, zero)
                 rows.append(cur)
-            nums, den = _numerators([v for row in rows for v in row])
-            N = self.N
-            self._kernel = ([nums[s * N : (s + 1) * N] for s in range(len(rows))], den)
+            flat = {(s, x): v for s, row in enumerate(rows) for x, v in enumerate(row)}
+            den, (nums,) = scalars.numerators(flat)
+            K = [{} for _ in rows]
+            for (s, x), n in nums.items():
+                K[s][x] = n
+            self._kernel = (K, den)
         return self._kernel
 
     def _kernel_rows(self, phi: LatticeSection, times, ret: int, adv: int):
@@ -224,9 +232,9 @@ class LatticeSpacetime:
         denominator."""
         self.check_margin(phi)
         K, den = self._green_kernel()
-        weights, q = _numerators(phi.values.values())
+        q, (weights,) = scalars.numerators(phi.values)
         rows = {t: [0] * self.N for t in times}
-        for (ts, xs), c in zip(phi.values, weights):
+        for (ts, xs), c in weights.items():
             for t, row in rows.items():
                 coef = ret if t > ts else adv if t < ts else 0
                 if coef:
@@ -236,14 +244,11 @@ class LatticeSpacetime:
     def _green(self, phi: LatticeSection, ret: int, adv: int) -> LatticeSection:
         """ret * G_ret(phi) + adv * G_adv(phi) on the whole window."""
         rows, den = self._kernel_rows(phi, range(self.T), ret, adv)
-        return LatticeSection(
-            {
-                (t, x): Fraction(n, den)
-                for t, row in rows.items()
-                for x, n in enumerate(row)
-                if n
-            }
-        )
+        out = LatticeSection()
+        out.values = {
+            (t, x): Fraction(n, den) for t, row in rows.items() for x, n in enumerate(row) if n
+        }
+        return out
 
     def green_retarded(self, phi: LatticeSection) -> LatticeSection:
         """The unique solution of D u = phi vanishing below the source."""
@@ -262,10 +267,7 @@ class LatticeSpacetime:
     def pairing(self, phi: LatticeSection, u: LatticeSection) -> Fraction:
         """Counting pairing, the sum of phi * u over the common support."""
         small, big = sorted((phi.values, u.values), key=len)
-        keys = [key for key in small if key in big]
-        a, da = _numerators(small[key] for key in keys)
-        b, db = _numerators(big[key] for key in keys)
-        return Fraction(sum(map(mul, a, b)), da * db)
+        return sum((v * big[k] for k, v in small.items() if k in big), Fraction(0))
 
     def lambda_cov(self, phi: LatticeSection, psi: LatticeSection) -> Fraction:
         """Covariant pairing: propagated phi integrated against psi."""
@@ -328,12 +330,7 @@ class LatticeSpacetime:
         """Matrix of rho_sigma on the basis of slab-site deltas."""
         if t0 < 1 or t0 + 1 > self.T - 2:
             raise WindowOverflowError("slab must respect the temporal margin")
-        return self._rho_matrix(
-            [(t, x) for t in (t0, t0 + 1) for x in range(self.N)], t0
-        )
-
-    def _rho_matrix(self, sites, t0: int):
-        """Matrix of rho_sigma at (t0, t0+1), one column per site delta."""
+        sites = [(t, x) for t in (t0, t0 + 1) for x in range(self.N)]
         pairs = [self.rho_sigma(LatticeSection.delta(*site), t0) for site in sites]
         return [list(row) for row in zip(*(p.u0 + p.u1 for p in pairs))]
 
@@ -395,22 +392,12 @@ class LatticeSpacetime:
         return f"LatticeSpacetime(T={self.T}, N={self.N}, m2={self.m2})"
 
 
-def _numerators(values):
-    """Integer numerators of rationals over their least common denominator:
-    (numerators, denominator), the denominator positive."""
-    values = list(values)
-    den = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (den // v.denominator) for v in values], den
-
-
 def _add_shifted(row, krow, x0, c):
-    """row[x] += c * krow[(x - x0) mod N] for integer rows; skips the zeros
-    of krow."""
+    """row[x] += c * krow[(x - x0) mod N] for a dense integer row and a
+    sparse kernel row."""
     N = len(row)
-    for d, k in enumerate(krow):
-        if k:
-            x = (d + x0) % N
-            row[x] += c * k
+    for d, k in krow.items():
+        row[(d + x0) % N] += c * k
 
 
 def _solve_exact(M, rhs):
@@ -438,11 +425,7 @@ def _eliminate(M, cols: int):
     gcd of its entries), so entries stay as small as the primitive rows
     allow.  The rows of M may hold ints or Fractions; M is not modified.
     """
-    rows = []
-    for r in M:
-        row = {c: v for c, v in enumerate(_numerators(r)[0]) if v}
-        if row:
-            rows.append(row)
+    rows = [row for row in (scalars.numerators(dict(enumerate(r)))[1][0] for r in M) if row]
     pivots = {}
     for col in range(cols):
         if not rows:
@@ -485,23 +468,17 @@ def kernel_identification_report(st: LatticeSpacetime, t0: int = None):
     if t0 is None:
         t0 = (st.T - 1) // 2
     margin = st.margin_sites()
-    index = {site: i for i, site in enumerate(margin)}
-    rho_rank = exact_rank(st._rho_matrix(margin, t0))
+    # one integer row per margin delta: the transpose of rho_sigma's matrix,
+    # which has the same rank and eliminates faster
+    deltas = [st.rho_sigma(LatticeSection.delta(*site), t0) for site in margin]
+    rho_rank = exact_rank([p._num0 + p._num1 for p in deltas])
 
     inner = [(t, x) for t in range(2, st.T - 2) for x in range(st.N)]
-    d_cols = []
-    inclusion_ok = True
-    for site in inner:
-        img = st.apply_D(LatticeSection.delta(*site))
-        col = [Fraction(0)] * len(margin)
-        for key, v in img.values.items():
-            col[index[key]] = v
-        d_cols.append(col)
-        pair = st.rho_sigma(img, t0)
-        if any(pair.u0) or any(pair.u1):
-            inclusion_ok = False
-    d_matrix = [[d_cols[c][r] for c in range(len(d_cols))] for r in range(len(margin))]
-    d_rank = exact_rank(d_matrix)
+    images = [st.apply_D(LatticeSection.delta(*site)) for site in inner]
+    restricted = [st.rho_sigma(img, t0) for img in images]
+    inclusion_ok = not any(any(p._num0) or any(p._num1) for p in restricted)
+    # one row per margin site, one column per image: faster here than the transpose
+    d_rank = exact_rank([[img.values.get(site, 0) for img in images] for site in margin])
 
     kernel_dim = len(margin) - rho_rank
     return {

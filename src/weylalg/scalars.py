@@ -18,7 +18,9 @@ what depends on the backend lives here (:func:`coerce`, :func:`from_rational`,
 leaves ``QC`` at one boundary: :func:`numerators` turns a map of exact
 scalars into integer numerators over one shared denominator, and
 :func:`from_numerators` builds the ``QC`` values back, reducing each
-fraction once.
+fraction once.  :func:`numerators` is also the one place where the
+lattice (kernel rows, Wronskians, elimination rows) and the Poisson-map
+test of the forms turn rationals into integers.
 """
 
 from __future__ import annotations

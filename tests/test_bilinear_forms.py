@@ -188,16 +188,6 @@ def _triple_tensors(rng, degrees=2, terms=2):
     return a, b, c
 
 
-def _triple_apply(op, triple):
-    """Apply an operator built from pairwise maps on a pair-of-pairs model.
-
-    Triples are dicts {(e1, e2, e3): coeff}; the three contraction
-    placements are realized through TensorPair machinery on two legs with
-    the third carried along, including the graded flip for placement 13.
-    """
-    return op(triple)
-
-
 def _to_triple(a, b, c):
     out = {}
     for e1, c1 in a.terms.items():

@@ -479,6 +479,12 @@ def test_float_overflow_uses_log_space(capsys, monkeypatch):
         (["kothe", "--n-max", "200", "--format", "csv"], None),
         (["kothe", "--eps", "1", "--n-max", "1600", "--format", "csv"], None),
         (["kothe", "--eps", "1", "--n-max", "1600"], None),
+        # p^5 * q^5 at z = 10^-1000: the denominators of z^k pass 4300 digits
+        (
+            ["star"],
+            dict(STAR_DOC, a={"terms": [{"even": {"p": 5}}]}, b={"terms": [{"even": {"q": 5}}]},
+                 z="1e-1000"),
+        ),
     ],
     ids=[
         "exp-coefficient-subnormal",
@@ -492,6 +498,7 @@ def test_float_overflow_uses_log_space(capsys, monkeypatch):
         "kothe-entry-beyond-binary64",
         "kothe-exact-entry-past-int-str-limit-csv",
         "kothe-exact-entry-past-int-str-limit-json",
+        "star-coefficient-past-int-str-limit",
     ],
 )
 def test_values_beyond_binary64_are_refused(args, doc, capsys, monkeypatch):

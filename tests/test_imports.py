@@ -5,7 +5,8 @@ No linter ships with the project, so these scans stand in for one.  The
 package ``__init__`` is exempt from the import scan: its imports are the
 public API.  A private name (one leading underscore, not a dunder) defined
 anywhere in ``src/weylalg`` must be referenced, by name or as an
-attribute, somewhere in ``src/weylalg`` other than its own definition.
+attribute, somewhere in ``src/weylalg`` other than its own definition;
+the same holds for the private helpers of ``tests``, within ``tests``.
 """
 
 import ast
@@ -39,9 +40,11 @@ def test_every_import_is_used():
     assert unused == []
 
 
-def test_every_private_function_is_referenced():
+def _dead_private_names(folder):
+    """Private functions and classes defined in ``folder``'s modules and
+    referenced nowhere in them."""
     defined, referenced = {}, set()
-    for path in sorted((ROOT / "src" / "weylalg").glob("*.py")):
+    for path in sorted((ROOT / folder).glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 if node.name.startswith("_") and not node.name.endswith("__"):
@@ -51,5 +54,14 @@ def test_every_private_function_is_referenced():
             elif isinstance(node, ast.Attribute):
                 referenced.add(node.attr)
     assert defined
-    dead = [f"{where} {name}" for name, where in defined.items() if name not in referenced]
-    assert dead == []
+    return [f"{where} {name}" for name, where in defined.items() if name not in referenced]
+
+
+def test_every_private_function_is_referenced():
+    assert _dead_private_names("src/weylalg") == []
+
+
+def test_every_private_test_helper_is_referenced():
+    # the tests are scanned on their own, so a library name used only by a
+    # test still counts as dead in the package
+    assert _dead_private_names("tests") == []

@@ -376,11 +376,63 @@ def test_is_casimir_and_slab_representative():
 
 
 def test_kernel_identification():
-    rep = kernel_identification_report(ST)
-    assert rep["rho_rank"] == 2 * ST.N
-    assert rep["kernel_equals_image"]
+    # at 12x8 rho_sigma has rank 2N on the 80 margin deltas, and D maps the
+    # 64 inner deltas onto its kernel
+    for st in (ST, LatticeSpacetime(12, 8, Fraction(1, 3))):
+        rep = kernel_identification_report(st)
+        assert (rep["rho_rank"], rep["d_rank"], rep["kernel_dim"]) == (2 * st.N, 64, 64)
+        assert rep["kernel_equals_image"]
     rep = kernel_identification_report(STM)
     assert rep["kernel_equals_image"]
+
+
+def test_pairing_equals_the_plain_sum_over_the_window():
+    st = LatticeSpacetime(12, 8, Fraction(1, 3))
+    g = st.propagator(LatticeSection.delta(5, 2))
+    h = st.propagator(
+        LatticeSection.delta(6, 3) + LatticeSection.delta(4, 7).scale(Fraction(-2, 5))
+    )
+    three = LatticeSection({(7, 2): Fraction(3, 4), (6, 0): -2, (3, 5): Fraction(1, 6)})
+    window = [(t, x) for t in range(st.T) for x in range(st.N)]
+    cases = [
+        (LatticeSection.delta(8, 4), g),
+        (three, g),
+        (LatticeSection.delta(5, 2), g),  # the source slice, where g vanishes
+        (LatticeSection.delta(1, 0), LatticeSection.delta(2, 0)),
+        (g, h),
+    ]
+    for phi, u in cases:
+        plain = sum((phi[k] * u[k] for k in window), Fraction(0))
+        for a, b in ((phi, u), (u, phi)):
+            value = st.pairing(a, b)
+            assert type(value) is Fraction and value == plain
+    assert st.pairing(LatticeSection.delta(5, 2), g) == 0
+    assert st.pairing(three, g) != 0 and st.pairing(g, h) != 0
+
+
+def test_exact_rank_is_invariant_under_transposition():
+    rng = random.Random(19)
+
+    def rational():
+        return rng.choice(
+            [0, 0, rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 7))]
+        )
+
+    for trial in range(30):
+        n, m = rng.randint(1, 7), rng.randint(1, 7)
+        if trial % 2:
+            # rank at most r: a product of n x r and r x m factors
+            r = rng.randint(0, min(n, m) - 1)
+            left = [[rational() for _ in range(r)] for _ in range(n)]
+            right = [[rational() for _ in range(m)] for _ in range(r)]
+            M = [
+                [sum((left[i][k] * right[k][j] for k in range(r)), Fraction(0)) for j in range(m)]
+                for i in range(n)
+            ]
+            assert exact_rank(M) <= r
+        else:
+            M = [[rational() for _ in range(m)] for _ in range(n)]
+        assert exact_rank(M) == exact_rank([list(col) for col in zip(*M)])
 
 
 def test_covariant_weyl_generators():
