@@ -29,7 +29,9 @@ few sites, sums plain ``Fraction``s.  The integer sums are three:
   summed in one place, ``_kernel_rows``.
 - Integer Wronskians.  Each ``CauchyPair`` keeps its slices as integer
   numerators over one positive denominator, so ``lambda_sigma`` is one
-  integer dot product and one division.
+  integer dot product and one division.  ``rho_sigma`` hands its kernel
+  rows over as they are; ``u0`` and ``u1`` build their ``Fraction``s
+  only when read.
 - Fraction-free elimination rows.  ``exact_rank`` and ``_solve_exact`` share
   one Jordan elimination on sparse integer rows that are kept primitive
   (each divided by the gcd of its entries), as in Geddes, Czapor and
@@ -113,29 +115,46 @@ class LatticeSection:
 class CauchyPair:
     """Values on two consecutive time slices, on all spatial sites.
 
-    Besides the public ``u0`` and ``u1``, the pair keeps both slices as
-    integer numerators over one positive denominator, for the Wronskian.
+    The pair keeps both slices as integer numerators over one positive
+    denominator, for the Wronskian; ``u0`` and ``u1`` are their values.
     """
 
-    __slots__ = ("u0", "u1", "_num0", "_num1", "_den")
+    __slots__ = ("_num0", "_num1", "_den")
 
     def __init__(self, u0, u1):
-        self.u0 = tuple(Fraction(v) for v in u0)
-        self.u1 = tuple(Fraction(v) for v in u1)
-        if len(self.u0) != len(self.u1):
+        u0 = [Fraction(v) for v in u0]
+        u1 = [Fraction(v) for v in u1]
+        if len(u0) != len(u1):
             raise DomainError("slices must have equal length")
-        self._den, (nums,) = scalars.numerators(dict(enumerate(self.u0 + self.u1)))
-        num = [nums.get(i, 0) for i in range(2 * self.sites)]
-        self._num0, self._num1 = num[: self.sites], num[self.sites :]
+        n = len(u0)
+        den, (nums,) = scalars.numerators(dict(enumerate(u0 + u1)))
+        num = [nums.get(i, 0) for i in range(2 * n)]
+        self._num0, self._num1, self._den = num[:n], num[n:], den
+
+    @classmethod
+    def _from_numerators(cls, num0, num1, den):
+        """The pair with slices num0/den and num1/den, for integer lists and den > 0."""
+        self = object.__new__(cls)
+        self._num0, self._num1, self._den = num0, num1, den
+        return self
+
+    @property
+    def u0(self):
+        return tuple(Fraction(n, self._den) for n in self._num0)
+
+    @property
+    def u1(self):
+        return tuple(Fraction(n, self._den) for n in self._num1)
 
     @property
     def sites(self):
-        return len(self.u0)
+        return len(self._num0)
 
     def __eq__(self, other):
         if not isinstance(other, CauchyPair):
             return NotImplemented
-        return self.u0 == other.u0 and self.u1 == other.u1
+        a, b = self._num0 + self._num1, other._num0 + other._num1
+        return [n * other._den for n in a] == [n * self._den for n in b]
 
     def __repr__(self):
         return f"CauchyPair({self.u0!r}, {self.u1!r})"
@@ -297,7 +316,7 @@ class LatticeSpacetime:
         if not (0 <= t0 and t0 + 1 <= self.T - 1):
             raise WindowOverflowError("slice pair outside the window")
         rows, den = self._kernel_rows(phi, (t0, t0 + 1), 1, -1)
-        return CauchyPair(*([Fraction(n, den) for n in row] for row in rows.values()))
+        return CauchyPair._from_numerators(rows[t0], rows[t0 + 1], den)
 
     def lambda_sigma(self, A: CauchyPair, B: CauchyPair) -> Fraction:
         """Discrete Wronskian pairing of two-slice data; antisymmetric,

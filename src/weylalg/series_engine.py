@@ -21,10 +21,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from . import _kernels_py as K
 from . import scalars
+from .basis import require_same_basis
 from .bilinear_forms import BilinearForm, lambda_parts
 from .errors import DomainError, RefusedPreconditionError, TruncationBudgetError
-from .graded_poly import Element
+from .graded_poly import Element, _from_parts, _parts
 from .seminorm_calculus import (
     LOG_FLOAT_MAX,
     WeightedSeminorm,
@@ -34,7 +36,7 @@ from .seminorm_calculus import (
     _weighted_term,
     pn_seminorm,
 )
-from .star_algebra import _weighted_sum, star
+from .star_algebra import _entry_parts, _star_parts, _sum_parts, star
 
 RATIO_BAND = (0.95, 1.05)
 SLOPE_TOL = 0.01
@@ -217,27 +219,37 @@ def truncated_star(
     degree provably unaffected by the inputs' unseen tails: contractions
     lower the combined degree by two, so a tail can reach down into every
     degree unless the partner series is a polynomial.
+
+    The components are packed once, over one layout.  They are
+    homogeneous, so step j of A_k * B_l has degree k + l - 2j: the steps
+    above ``order`` are contracted through but never summed, and the kept
+    steps of every product go into one accumulation over one denominator,
+    split by degree at the end.
     """
     if A.basis != B.basis or A.backend != B.backend:
         raise DomainError("series over different bases or backends")
+    require_same_basis(A, form)
     cap = max(A.order, B.order) if budget is None else order + budget
     ka_max = min(A.order, cap)
     kb_max = min(B.order, cap)
-    out = [Element.zero(A.basis, A.backend) for _ in range(order + 1)]
-    for k in range(ka_max + 1):
-        ak = A.components[k]
-        if not ak:
+    backend = A.backend
+    consulted = (A.components[: ka_max + 1], B.components[: kb_max + 1])
+    top = sum(K.top_exponent(e for c in cs for e in c.terms) for cs in consulted)
+    lay = K.Layout.of(A.basis, top)
+    xs, ys = (
+        [_parts(backend, K.pack(c.terms, lay)) if c else None for c in cs] for cs in consulted
+    )
+    lam = _entry_parts(backend, form._entries)
+    products = []
+    for k, x in enumerate(xs):
+        if not x:
             continue
-        for l in range(kb_max + 1):
-            bl = B.components[l]
-            if not bl:
-                continue
-            if k + l - 2 * min(k, l) > order:
-                continue
-            prod = star(ak, bl, z, form)
-            for n, part in prod.grade_components().items():
-                if n <= order:
-                    out[n] = out[n] + part
+        for l, y in enumerate(ys):
+            first = max(0, (k + l - order + 1) // 2)
+            if y and first <= min(k, l):
+                products.append((1, _star_parts(backend, x, y, lam, z, lay, first)))
+    grades = _from_parts(A, *_sum_parts(backend, products), lay).grade_components()
+    out = [grades.get(n) or Element.zero(A.basis, backend) for n in range(order + 1)]
 
     la, lb = A.polynomial_degree(), B.polynomial_degree()
     tail_a = A.has_tail or la > ka_max
@@ -407,6 +419,14 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
     and every higher order vanishes identically (the iterated commutator
     of w with a scalar); the degree-zero partial sums therefore telescope
     to phi(v) and all components match v + phi(v) 1 exactly.
+
+    The pieces come by associativity, each one product with the degree-one
+    w: w^{*l} * v = w * (w^{*(l-1)} * v), and each piece of order r is the
+    piece of order r - 1 in its row times w.  They stay integer numerators
+    over one layout, wide enough for the last order, and each order is
+    summed over one denominator.  On the float backend this association
+    differs from the plain expansion's, so values can differ from it in
+    the last bits (the literal check fails there from rounding anyway).
     """
     _require_degree_one(w)
     if w.parity() != 0:
@@ -414,30 +434,35 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
     z = scalars.coerce(w.backend, z)
     if not z:
         raise DomainError("z must be nonzero")
+    require_same_basis(w, v)
+    require_same_basis(w, form)
     _, minus = lambda_parts(form)
     phi_v = minus.apply(w, v) * z * 2
 
-    star_pows = [Element.one(w.basis, w.backend)]
-    for _ in range(order):
-        star_pows.append(star(star_pows[-1], w, z, form))
-    left = [star(p, v, z, form) for p in star_pows]
-
+    backend = w.backend
+    lay = K.Layout.of(w.basis, order + K.top_exponent(v.terms))
+    wp = _parts(backend, K.pack(w.terms, lay))
+    lam = _entry_parts(backend, form._entries)
     orders = []
-    cumulative = Element.zero(w.basis, w.backend)
+    cumulative = Element.zero(w.basis, backend)
     degree0_partials = []
+    head = _parts(backend, K.pack(v.terms, lay))
+    pieces = []  # pieces[l] = w^{*l} * v * w^{*(r-l)} at order r
     for r in range(order + 1):
-        pieces = []
-        for l in range(r + 1):
-            m = r - l
-            piece = star(left[l], star_pows[m], z, form)
-            pieces.append((piece, Fraction((-1) ** m, math.factorial(l) * math.factorial(m))))
-        term = _weighted_sum(w, pieces)
+        if r:
+            head = _star_parts(backend, wp, head, lam, z, lay)
+        pieces = [_star_parts(backend, x, wp, lam, z, lay) for x in pieces] + [head]
+        weights = [
+            Fraction((-1) ** (r - l), math.factorial(l) * math.factorial(r - l))
+            for l in range(r + 1)
+        ]
+        term = _from_parts(w, *_sum_parts(backend, zip(weights, pieces)), lay)
         orders.append(term)
         cumulative = cumulative + term
         c0 = cumulative.grade_component(0)
-        degree0_partials.append(next(iter(c0.terms.values()), scalars.zero(w.backend)))
+        degree0_partials.append(next(iter(c0.terms.values()), scalars.zero(backend)))
 
-    rhs = v + Element.scalar(w.basis, phi_v, w.backend)
+    rhs = v + Element.scalar(w.basis, phi_v, backend)
     per_degree_match = [
         cumulative.grade_component(n) == rhs.grade_component(n)
         for n in range(order + 1)

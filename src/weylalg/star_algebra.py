@@ -31,8 +31,14 @@ weights are the Gaussian integers C(k, j) V^(k-j) dv^j over dv^k, and
 each term is padded to the largest shifted degree.  ``apply_linear``
 folds each term left to right with the generator images, as numerator
 maps over one denominator dm, and pads a term of degree k by
-dm^(top - k).  ``inner_translation_check`` sums its pieces through
-``_weighted_sum``, one numerator accumulation per order.
+dm^(top - k).
+
+The contraction loop itself is ``_star_parts``: packed numerator parts
+(den, parts) over one ``Layout`` in, packed parts out, no ``Element``
+built.  ``star`` is pack, ``_star_parts``, unpack.  The series chains of
+``series_engine`` (``inner_translation_check``, ``truncated_star``) pack
+once, feed each product's parts to the next, add the results with
+``_sum_parts`` over one lcm denominator and unpack only what they return.
 
 The float backend runs the same loops on its complex coefficients over
 the denominator 1, in the order of operations of the plain series and
@@ -64,15 +70,10 @@ def star(a: Element, b: Element, z, form: BilinearForm) -> Element:
     require_same_basis(a, b)
     require_same_basis(a, form)
     lay = K.product_layout(a.basis, a.terms, b.terms)
-    da, xs = _parts(a.backend, K.pack(a.terms, lay))
-    db, ys = _parts(a.backend, K.pack(b.terms, lay))
-    dl, lam = _entry_parts(a.backend, form._entries)
-    u = _bilinear(lambda x, y: K.tensor_terms(x, y, lay), xs, ys)
-    steps = []
-    while any(u):
-        steps.append(tuple(K.mu_terms(t, lay) for t in u))
-        u = _bilinear(lambda t, e: K.contract_terms(t, e, lay), u, lam)
-    return _exp_sum(a, z, steps, da * db, dl, lay)
+    x = _parts(a.backend, K.pack(a.terms, lay))
+    y = _parts(a.backend, K.pack(b.terms, lay))
+    lam = _entry_parts(a.backend, form._entries)
+    return _from_parts(a, *_star_parts(a.backend, x, y, lam, z, lay), lay)
 
 
 def star_hbar(a: Element, b: Element, hbar, form: BilinearForm) -> Element:
@@ -94,7 +95,7 @@ def poisson_bracket(a: Element, b: Element, form: BilinearForm) -> Element:
     u = _bilinear(lambda x, y: K.tensor_terms(x, y, lay), xs, ys)
     u = _bilinear(lambda t, e: K.contract_terms(t, e, lay), u, lam)
     steps = [tuple(K.mu_terms(t, lay) for t in u)]
-    return _element(a, steps, [_scalar_parts(a.backend, 2)[1]], da * db * dm, lay)
+    return _from_parts(a, da * db * dm, _weighted(steps, [_scalar_parts(a.backend, 2)[1]]), lay)
 
 
 def graded_commutator(a: Element, b: Element, z, form: BilinearForm) -> Element:
@@ -130,7 +131,7 @@ def equivalence_transform(a: Element, z, g: BilinearForm) -> Element:
     while any(cur):
         steps.append(cur)
         cur = _bilinear(lambda t, e: K.laplace_bulk(t, e, lay), cur, gam)
-    return _exp_sum(a, z, steps, da, dg, lay)
+    return _from_parts(a, *_exp_sum(a.backend, z, steps, da, dg), lay)
 
 
 # -- integer numerators on packed monomials (see ``graded_poly._parts``) ---
@@ -155,17 +156,36 @@ def _gauss_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _exp_sum(a: Element, z, steps, den, step_den, lay) -> Element:
-    """sum_k z^k/k! steps[k] / (den * step_den^k), an Element like a.
+def _star_parts(backend, x, y, lam, z, lay, first=0):
+    """The (den, parts) of x * y deformed by the form, packed over ``lay``.
+
+    x and y are the (den, parts) of two operands, ``lam`` the form's
+    ``_entry_parts`` and z the scalar; ``lay`` must hold the exponents of
+    the product.  This is the package's one contraction loop, shared by
+    ``star`` and the series chains, which keep its output as the next
+    operand.  The steps k < first are contracted through but left out of
+    the sum.
+    """
+    (dx, xs), (dy, ys), (dl, entries) = x, y, lam
+    u = _bilinear(lambda s, t: K.tensor_terms(s, t, lay), xs, ys)
+    steps = []
+    while any(u):
+        steps.append(tuple(K.mu_terms(t, lay) for t in u) if len(steps) >= first else ())
+        u = _bilinear(lambda t, e: K.contract_terms(t, e, lay), u, entries)
+    return _exp_sum(backend, z, steps, dx * dy, dl)
+
+
+def _exp_sum(backend, z, steps, den, step_den):
+    """(den, parts) of sum_k z^k/k! steps[k] / (den * step_den^k).
 
     On the exact backend, with z = Z/dz and n the last k, the k-th weight
     is the Gaussian integer Z^k (n!/k!) (dz step_den)^(n-k) over the one
     denominator den n! (dz step_den)^n.  On the float backend it is
     z^k * (1/k!) as the plain series computes it.
     """
-    dz, zp = _scalar_parts(a.backend, z)
+    dz, zp = _scalar_parts(backend, z)
     weights = []
-    if a.backend == "exact":
+    if backend == "exact":
         s = dz * step_den
         scale = [1]
         for k in range(len(steps) - 1, 0, -1):
@@ -177,19 +197,35 @@ def _exp_sum(a: Element, z, steps, den, step_den, lay) -> Element:
             zk = _gauss_mul(zk, zp)
         den *= scale[0]
     else:
-        zk = scalars.one(a.backend)
+        zk = scalars.one(backend)
         for k in range(len(steps)):
-            weights.append((scalars.mul_rat(a.backend, zk, Fraction(1, math.factorial(k))),))
+            weights.append((scalars.mul_rat(backend, zk, Fraction(1, math.factorial(k))),))
             zk = zk * zp[0]
-    return _element(a, steps, weights, den, lay)
+    return den, _weighted(steps, weights)
 
 
-def _element(a: Element, steps, weights, den, lay=None) -> Element:
-    """The Element sum_k weights[k] steps[k] / den over a's basis and backend.
+def _sum_parts(backend, items):
+    """(den, parts) of sum q x over the items (q, x): rationals q, (den, parts) x.
 
-    Terms accumulate in step order on packed monomials, unpacked once at
-    the end (``lay=None``: keys are exponent tuples already); on the
-    exact backend each coefficient becomes a ``QC`` once.
+    On the exact backend the terms go over the one denominator
+    lcm(den q.denominator); on the float backend c * q accumulates in item
+    order.
+    """
+    if backend == "exact":
+        items = [(Fraction(q), x) for q, x in items]
+        den = math.lcm(*(d * q.denominator for q, (d, _) in items))
+        weights = [(q.numerator * (den // (d * q.denominator)),) for q, (d, _) in items]
+    else:
+        den = 1
+        weights = [(scalars.coerce(backend, q),) for q, _ in items]
+    return den, _weighted([p for _, (_, p) in items], weights)
+
+
+def _weighted(steps, weights):
+    """The parts of sum_k weights[k] steps[k], for parts of values and weights.
+
+    Terms accumulate in step order; an imaginary part that comes out
+    empty is dropped, so the result can be the next product's operand.
     """
     out = ({}, {})
     for parts, w in zip(steps, weights):
@@ -201,24 +237,7 @@ def _element(a: Element, steps, weights, den, lay=None) -> Element:
                 cw = -wq if p & q else wq
                 for e, c in part.items():
                     _accumulate(target, e, c * cw)
-    return _from_parts(a, den, out, lay)
-
-
-def _weighted_sum(a: Element, pairs) -> Element:
-    """sum q x over the pairs (x, q) of Elements like a and rationals q.
-
-    On the exact backend the x become numerators over one output
-    denominator, and each output coefficient is built once.  On the float
-    backend c * q accumulates in pair order, as a sum of ``x.scale(q)``
-    computes it.
-    """
-    if a.backend != "exact":
-        steps = [(x.terms,) for x, _ in pairs]
-        return _element(a, steps, [(scalars.coerce(a.backend, q),) for _, q in pairs], 1)
-    parts = [(scalars.numerators(x.terms), Fraction(q)) for x, q in pairs]
-    den = math.lcm(*(d * q.denominator for (d, _), q in parts))
-    weights = [(q.numerator * (den // (d * q.denominator)),) for (d, _), q in parts]
-    return _element(a, [p for (_, p), _ in parts], weights, den)
+    return out if out[1] else out[:1]
 
 
 def translate(a: Element, phi) -> Element:

@@ -14,6 +14,7 @@ from fractions import Fraction
 from weylalg.graded_poly import Element
 from weylalg.peierls import LatticeSection
 from weylalg.scalars import QC
+from weylalg.star_algebra import star
 
 
 def sign_formula(parities, sigma) -> Fraction:
@@ -219,6 +220,36 @@ def translate_oracle(a: Element, phi) -> Element:
         for ee, cc in expansion.items():
             _add_into(out, ee, cc)
     return Element(b, a.backend, out)
+
+
+def conjugation_orders_oracle(w: Element, v: Element, z, form, order):
+    """The orders sum_{l+m=r} (-1)^m/(l! m!) (w^{*l} * v) * w^{*m} of Exp(w) * v * Exp(-w).
+
+    Every piece is two direct star products, the second against the
+    degree-m power w^{*m}, and each order is a plain sum of scaled pieces.
+    """
+    powers = [Element.one(w.basis, w.backend)]
+    for _ in range(order):
+        powers.append(star(powers[-1], w, z, form))
+    orders = []
+    for r in range(order + 1):
+        term = Element.zero(w.basis, w.backend)
+        for l in range(r + 1):
+            m = r - l
+            piece = star(star(powers[l], v, z, form), powers[m], z, form)
+            term = term + piece.scale(Fraction((-1) ** m, math.factorial(l) * math.factorial(m)))
+        orders.append(term)
+    return orders
+
+
+def truncated_star_oracle(A, B, z, form, order, budget=None):
+    """The degree 0..order parts of the sum of star(A_k, B_l) over the consulted k, l."""
+    cap = max(A.order, B.order) if budget is None else order + budget
+    total = Element.zero(A.basis, A.backend)
+    for ak in A.components[: min(A.order, cap) + 1]:
+        for bl in B.components[: min(B.order, cap) + 1]:
+            total = total + star(ak, bl, z, form)
+    return [total.grade_component(n) for n in range(order + 1)]
 
 
 def apply_linear_oracle(a: Element, A) -> Element:

@@ -1,6 +1,7 @@
 """JSON formats and the command-line front end (exit-code contract)."""
 
 import hashlib
+import io
 import json
 import math
 import random
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import weylalg
-from weylalg import Element, LatticeSection, QC
+from weylalg import Element, LatticeSection, QC, star, suites
 from weylalg.cli import PEIERLS_MAX_DIGIT_WORK, PEIERLS_MAX_SITES, main
 from weylalg.jsonio import (
     RATIONAL_MAX_DIGITS,
@@ -346,6 +347,136 @@ def test_peierls_outputs_are_byte_stable(capsys):
         code = main(["peierls", *cmd.split()])
         out = capsys.readouterr().out.encode() + b"|%d" % code
         assert hashlib.sha256(out).hexdigest() == digest, cmd
+
+
+STAR_COMPLEX_DOC = {
+    "basis": [
+        {"name": "q", "parity": "even"},
+        {"name": "p", "parity": "even"},
+        {"name": "e", "parity": "odd"},
+        {"name": "f", "parity": "odd"},
+    ],
+    "a": {
+        "terms": [
+            {"even": {"q": 2}, "odd": ["e"], "coeff": {"re": "1/2", "im": "-3"}},
+            {"even": {"p": 1}, "coeff": "2"},
+            {"odd": ["e", "f"], "coeff": {"re": "0", "im": "5/7"}},
+        ]
+    },
+    "b": {
+        "terms": [
+            {"even": {"p": 2}, "odd": ["f"], "coeff": {"re": "0", "im": "1"}},
+            {"even": {"q": 1, "p": 1}, "coeff": "-1/3"},
+        ]
+    },
+    "z": {"re": "1/2", "im": "1/3"},
+    "lambda": {
+        "matrix": [
+            ["0", "1", "0", "0"],
+            ["-1/2", "0", "0", "0"],
+            ["0", "0", "0", {"re": "1", "im": "2"}],
+            ["0", "0", "1/3", "0"],
+        ]
+    },
+}
+
+STAR_FLOAT_DOC = dict(
+    STAR_DOC,
+    scalar="float",
+    a={"terms": [{"even": {"p": 3}, "coeff": "0.1"}, {"even": {"q": 1}, "coeff": "-2.5"}]},
+    b={"terms": [{"even": {"q": 3}, "coeff": {"re": "0.3", "im": "1.7"}}]},
+    z={"re": "0.25", "im": "-1.5"},
+)
+
+CONV_EXP_DOC = {
+    "series": {"kind": "exp", "generator": "q", "N": 24, "coeff": "0.5"},
+    "R_grid": [0.5, 1.0, 1.25],
+    "seminorm": {"weights": {"q": 2}},
+}
+
+# an even-odd form entry: a domain error, exit 3
+PARITY_BLOCK_DOC = {
+    "basis": [{"name": "q", "parity": "even"}, {"name": "e", "parity": "odd"}],
+    "a": "q",
+    "b": "e",
+    "lambda": {"matrix": [["0", "1"], ["0", "0"]]},
+}
+
+CONV_FEPS_DOC = {"series": {"kind": "f_eps", "N": 30, "eps": 0.25}, "R_grid": [0.1, 0.5]}
+
+# sha256 of stdout + b"|" + stderr + b"|" + exit code of the other
+# subcommands, in every format they have, and of one failure per exit code
+# 2-4 (exit 1 is test_check_failure_output_is_byte_stable), recorded before
+# the series products moved onto packed numerator chains.
+CLI_DIGESTS = [
+    (["star"], STAR_DOC,
+     "692922bc6f2afdb553cfa72d8065695674977d9cb7c2d474bddcbd0de45e81ec"),
+    (["star"], STAR_COMPLEX_DOC,
+     "dc6fdb61c4c060f5c446c98129b74035018c74384dfac28017fa7711af46e016"),
+    (["star"], STAR_FLOAT_DOC,
+     "d0ebd1ad81ce1d37306151d0000bc16aa33332b808794bf0d3454a2a4f463796"),
+    (["verify", "associativity", "--seed", "3", "--trials", "3"], None,
+     "e447fd8b63603e520ebb6fff8bac0830139cdc9d655fc544beb5c453c1e4ea68"),
+    (["verify", "equivalence", "--seed", "3", "--trials", "3"], None,
+     "2ea86b2291343b7c38b3c9e9dacd94713cacbb6e87a97a7551b4df91639b0112"),
+    (["verify", "involution", "--seed", "3", "--trials", "3"], None,
+     "12e6ce3c992e1f34974e200a95893499406657ffdb6cc58d567ebb9be5c8866a"),
+    (["verify", "product-estimate", "--seed", "3", "--trials", "3", "--zmag", "1/3"], None,
+     "bca2de2b773891ccf1bfeb24290c50b6ba686c7c96543d7037af3aafed617782"),
+    (["verify", "product-estimate", "--trials", "3", "--R", "2", "--format", "csv"], None,
+     "f773a04ba5f681e766a662f9456e7fcab8185ee371e6c122d30bd0bcef43a4d7"),
+    (["verify", "bracket-estimate", "--seed", "3", "--trials", "3"], None,
+     "f2dc58e64526e3843b8729a1e367ba63e5e7026c3ca8e22c3ef44e93fb8ba762"),
+    (["verify", "bracket-estimate", "--trials", "3", "--R", "3/2", "--format", "csv"], None,
+     "ad3b26a29cb404fca0fa7e767eae1c280358aff35a321b9e518ecbd7f60e6d7c"),
+    (["kothe", "--n-max", "12"], None,
+     "381eafc7539c91a0d5838899b6d048b45ab7da95667584abfc1ee8623d17b6a3"),
+    (["kothe", "--n-max", "12", "--mode", "nuclear", "--R", "3/2", "--eps", "1/4"], None,
+     "36e94517caa88d60ee2b919ac558d5e9be95ccf7271d9e262e835df99da602a2"),
+    (["kothe", "--n-max", "6", "--format", "csv"], None,
+     "01190563215b4a1c26bb1c634c5ccd6fcf7c290038a48858c4073b49bea189ca"),
+    (["divergence", "--eps", "0.25", "--L", "12"], None,
+     "c7948329e96a184bebe9145c7e377b8950e4c8879e606e125357c894764e36b5"),
+    (["divergence", "--eps", "0.3", "--hbar", "0.5", "--L", "10", "--format", "json"], None,
+     "e1d0d4995bef1d0fe8fa8a2dd59af55f99c0ff92f90095c7b730bb4c1be9b70a"),
+    (["convergence"], CONV_EXP_DOC,
+     "06fe0b2cd255c26ca1524dad827e7c0a6a02bc265fa126c20ac3f34976f609c0"),
+    (["convergence", "--format", "json"], CONV_EXP_DOC,
+     "bebbe304efec8ea6bc068471040a3db89815d40934bfa0a9803f2ae09cda27ac"),
+    (["convergence"], CONV_FEPS_DOC,
+     "ae486783bf183a0b681dfc881f1ee2247c62a3eef335cccd42ea3a31aeea17ca"),
+    (["convergence", "--format", "json"], CONV_FEPS_DOC,
+     "9903cc77691aaa31ff958e106590ca75f2cff962e56ac2602b6177546107254a"),
+    (["verify", "associativity", "--format", "csv"], None,
+     "18c19d2365242be0dcdfda114531f61c545b5410d99579c4daa85408c9600a66"),
+    (["star"], PARITY_BLOCK_DOC,
+     "f322504da9465570e872257a74a0c412b0899e0ce449f141495e4e441444b73d"),
+    (["divergence", "--eps", "0.7"], None,
+     "3589bf0699535b2a718b43a2d0170f994028d0b17c61ec49a87956cf3946db06"),
+]
+
+
+def _cli_digest(argv, doc, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code = main(argv)
+    out = capsys.readouterr()
+    return hashlib.sha256(f"{out.out}|{out.err}|{code}".encode()).hexdigest()
+
+
+def test_cli_outputs_are_byte_stable(capsys, monkeypatch):
+    for argv, doc, digest in CLI_DIGESTS:
+        assert _cli_digest(argv, doc, monkeypatch, capsys) == digest, argv
+
+
+def test_check_failure_output_is_byte_stable(capsys, monkeypatch):
+    # no valid input makes a check fail, so the suite gets a product that is
+    # not associative: (ab + 1)c + 1 differs from a(bc + 1) + 1
+    def skewed(a, b, z, form):
+        return star(a, b, z, form) + Element.one(a.basis)
+
+    monkeypatch.setattr(suites, "star", skewed)
+    argv = ["verify", "associativity", "--trials", "3"]
+    assert _cli_digest(argv, None, monkeypatch, capsys) == "793c09276ce58eb6467ff55281bae317bbd64bed2cf5f7c6c0afc29d4fbe573d"
 
 
 def test_cmd_peierls(capsys, monkeypatch):

@@ -303,6 +303,21 @@ def test_rho_sigma_examples():
     assert both.u1 == tuple(a + 2 * b for a, b in zip(p1.u1, p2.u1))
 
 
+def test_cauchy_pair_from_numerators_matches_its_values():
+    # rho_sigma's pairs keep the kernel rows' denominator, which need not be reduced
+    pair = CauchyPair._from_numerators([2, 0, -4], [6, 3, 1], 6)
+    same = CauchyPair([Fraction(1, 3), 0, Fraction(-2, 3)], [1, Fraction(1, 2), Fraction(1, 6)])
+    assert pair == same and repr(pair) == repr(same)
+    assert pair.u0 == (Fraction(1, 3), 0, Fraction(-2, 3)) and pair.sites == 3
+    assert pair != CauchyPair(same.u0, [1, Fraction(1, 2), 0])
+    phi = LatticeSection.delta(4, 2) + LatticeSection.delta(6, 5).scale(Fraction(2, 7))
+    for t0 in (3, 5):
+        got = STM.rho_sigma(phi, t0)
+        public = CauchyPair(got.u0, got.u1)
+        assert got == public and repr(got) == repr(public)
+        assert STM.solve_cauchy(got, t0) == STM.solve_cauchy(public, t0) == STM.propagator(phi)
+
+
 def test_lambda_sigma_examples_and_conservation():
     rng = random.Random(17)
     data = CauchyPair(

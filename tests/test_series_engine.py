@@ -6,8 +6,10 @@ from fractions import Fraction
 
 import pytest
 
-from weylalg import series_engine
+from weylalg import _kernels_py, scalars, series_engine
 from weylalg import (
+    BackendMismatchError,
+    BasisMismatchError,
     BilinearForm,
     DomainError,
     Element,
@@ -35,7 +37,11 @@ from weylalg.randoms import (
     random_element,
     random_even_form,
     random_rational,
+    random_scalar,
 )
+from weylalg.star_algebra import _star_parts
+
+from oracles import conjugation_orders_oracle, truncated_star_oracle
 
 B2 = GeneratorBasis(("q", "p"), ("even", "even"))
 Q = Element.generator(B2, "q")
@@ -353,19 +359,103 @@ def test_inner_translation_matches_translate():
             assert res["lhs_element"] == translate(v, phi)
 
 
-def test_inner_translation_builds_each_left_product_once(monkeypatch):
-    # order 10: w^{*l} for l = 1..10, w^{*l} * v for l = 0..10, and one
-    # product with w^{*m} for each of the 66 pairs l + m <= 10
+def test_inner_translation_multiplies_each_piece_by_w_once(monkeypatch):
+    # order 10: w * (w^{*(l-1)} * v) for l = 1..10, and one product with w
+    # on the right for each of the 55 pieces w^{*l} * v * w^{*m} with m >= 1
     calls = []
 
-    def counted(*args):
-        calls.append(args)
-        return star(*args)
+    def counted(backend, x, y, lam, z, lay, first=0):
+        calls.append((x, y, lay))
+        return _star_parts(backend, x, y, lam, z, lay, first)
 
-    monkeypatch.setattr(series_engine, "star", counted)
-    res = inner_translation_check(Q + P.scale(2), P, QC(Fraction(1, 3)), DARBOUX, 10)
-    assert len(calls) == 10 + 11 + 66
+    monkeypatch.setattr(series_engine, "_star_parts", counted)
+    w = Q + P.scale(2)
+    res = inner_translation_check(w, P, QC(Fraction(1, 3)), DARBOUX, 10)
+    assert len(calls) == 10 + 55
+    wp = scalars.numerators(_kernels_py.pack(w.terms, calls[0][2]))
+    assert all(wp in (x, y) for x, y, _ in calls)
     assert all(res["per_degree_match"])
+
+
+def test_inner_translation_chain_equals_the_direct_products():
+    # each order literally equals the sum of star(star(w^{*l}, v), w^{*m})
+    rng = random.Random(41)
+    basis = default_basis()
+    for trial in range(8):
+        cplx = trial % 2 == 1
+        form = random_even_form(rng, basis, complex_parts=cplx)
+        w = random_degree_one_even(rng, basis)
+        z = random_scalar(rng, complex_parts=cplx) or QC(1)
+        v = Element.scalar(basis, random_scalar(rng, complex_parts=cplx))
+        for name in rng.sample(basis.names, 2 + trial % 3):
+            v = v + Element.generator(basis, name).scale(random_scalar(rng, complex_parts=cplx))
+        res = inner_translation_check(w, v, z, form, 6)
+        assert res["orders"] == conjugation_orders_oracle(w, v, z, form, 6), trial
+
+
+def test_truncated_star_equals_the_plain_sum_of_component_products():
+    rng = random.Random(43)
+    basis = default_basis()
+    form = random_even_form(rng, basis, complex_parts=True)
+    z = QC(Fraction(1, 2), Fraction(-1, 3))
+    w, w2 = random_degree_one_even(rng, basis), random_degree_one_even(rng, basis)
+    E, E2 = exp_element(w, 6), exp_element(w2, 6)
+    e1 = Element.generator(basis, "e1")
+    cubic = w2**3 + (w * e1).scale(QC(0, 2)) + Element.one(basis)
+    poly = TruncatedSeries.from_element(cubic, 4)
+    gap = TruncatedSeries(E.components[:2] + (Element.zero(basis),) + E.components[3:], 6)
+    zero = TruncatedSeries.from_element(Element.zero(basis), 5)
+    cases = [
+        # (A, B, order, budget, exact_through)
+        (E, E2, 6, None, -1),
+        (E, E2, 4, 1, -1),
+        (E, poly, 5, None, 3),  # exp's tail reaches down 3 degrees through the cubic
+        (E, poly, 4, 0, 1),
+        (poly, E2, 5, 1, 3),
+        (gap, poly, 5, None, 3),
+        (poly, poly, 6, None, 6),
+        (zero, E2, 4, None, 4),
+        (E, zero, 4, 2, 4),
+    ]
+    for i, (A, Bs, order, budget, exact_through) in enumerate(cases):
+        C = truncated_star(A, Bs, z, form, order, budget)
+        assert list(C.components) == truncated_star_oracle(A, Bs, z, form, order, budget), i
+        assert C.meta["exact_through"] == exact_through, i
+    assert not any(truncated_star(zero, E2, z, form, 4).components)
+
+
+def test_truncated_star_sums_no_step_above_the_order(monkeypatch):
+    # step j of q^k * p^l has degree k + l - 2j; only steps of degree <= 4 reach mu
+    calls = []
+    mu = _kernels_py.mu_terms
+    monkeypatch.setattr(_kernels_py, "mu_terms", lambda t, lay: calls.append(1) or mu(t, lay))
+    truncated_star(exp_element(Q, 6), exp_element(P, 6), QC(1), DARBOUX, 4)
+    kept = [(k, l, j) for k in range(7) for l in range(7) for j in range(min(k, l) + 1)]
+    assert len(calls) == sum(1 for k, l, j in kept if k + l - 2 * j <= 4)
+
+
+OTHER_BASIS_FORM = BilinearForm.from_entries(
+    GeneratorBasis(("x", "y"), ("even", "even")), {("x", "y"): 1}
+)
+FLOAT_FORM = BilinearForm.from_entries(B2, {("q", "p"): 1}, backend="float")
+
+
+@pytest.mark.parametrize(
+    "form, error",
+    [(OTHER_BASIS_FORM, BasisMismatchError), (FLOAT_FORM, BackendMismatchError)],
+    ids=["other-basis", "other-backend"],
+)
+@pytest.mark.parametrize("check", ["truncated_star", "inner_translation_check"])
+def test_series_products_refuse_a_foreign_form_before_contracting(form, error, check, monkeypatch):
+    def contract(*args):
+        raise AssertionError("contracted before the form was checked")
+
+    monkeypatch.setattr(_kernels_py, "contract_terms", contract)
+    with pytest.raises(error):
+        if check == "truncated_star":
+            truncated_star(exp_element(Q, 4), exp_element(P, 4), QC(1), form, 4)
+        else:
+            inner_translation_check(Q, P, QC(1), form, 4)
 
 
 def test_truncated_series_validates_components():
