@@ -226,8 +226,7 @@ def truncated_star(
     steps of every product go into one accumulation over one denominator,
     split by degree at the end.
     """
-    if A.basis != B.basis or A.backend != B.backend:
-        raise DomainError("series over different bases or backends")
+    require_same_basis(A, B)
     require_same_basis(A, form)
     cap = max(A.order, B.order) if budget is None else order + budget
     ka_max = min(A.order, cap)
@@ -414,19 +413,20 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
     """Conjugation by the star-exponential versus the translation.
 
     Expands Exp(w) * v * Exp(-w) order by order in the one-parameter
-    group: the r-th term is sum_{l+m=r} (-1)^m/(l! m!) w^{*l} * v * w^{*m}.
-    Order zero is v, order one is phi(v) 1 with phi = 2 z minus(w, .),
-    and every higher order vanishes identically (the iterated commutator
-    of w with a scalar); the degree-zero partial sums therefore telescope
-    to phi(v) and all components match v + phi(v) 1 exactly.
+    group: the r-th term is sum_{l+m=r} (-1)^m/(l! m!) w^{*l} * v * w^{*m},
+    which by associativity (Hadamard's lemma) is ad_w^r(v)/r! with
+    ad_w(x) = w * x - x * w.  Order zero is v, order one is phi(v) 1 with
+    phi = 2 z minus(w, .), and every higher order vanishes identically
+    (the iterated commutator of w with a scalar); the degree-zero partial
+    sums therefore telescope to phi(v) and all components match
+    v + phi(v) 1 exactly.
 
-    The pieces come by associativity, each one product with the degree-one
-    w: w^{*l} * v = w * (w^{*(l-1)} * v), and each piece of order r is the
-    piece of order r - 1 in its row times w.  They stay integer numerators
-    over one layout, wide enough for the last order, and each order is
-    summed over one denominator.  On the float backend this association
-    differs from the plain expansion's, so values can differ from it in
-    the last bits (the literal check fails there from rounding anyway).
+    So each order is ad_w of the last over r: two products with the
+    degree-one w, which raise no exponent past v's largest plus one, on
+    integer numerators over one layout, summed over one denominator.  On
+    the float backend this association differs from the plain expansion's,
+    so values can differ from it in the last bits (the literal check can
+    fail there from rounding).
     """
     _require_degree_one(w)
     if w.parity() != 0:
@@ -440,23 +440,19 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
     phi_v = minus.apply(w, v) * z * 2
 
     backend = w.backend
-    lay = K.Layout.of(w.basis, order + K.top_exponent(v.terms))
+    lay = K.Layout.of(w.basis, K.top_exponent(v.terms) + 1)
     wp = _parts(backend, K.pack(w.terms, lay))
     lam = _entry_parts(backend, form._entries)
     orders = []
     cumulative = Element.zero(w.basis, backend)
     degree0_partials = []
-    head = _parts(backend, K.pack(v.terms, lay))
-    pieces = []  # pieces[l] = w^{*l} * v * w^{*(r-l)} at order r
+    cur = _parts(backend, K.pack(v.terms, lay))
     for r in range(order + 1):
         if r:
-            head = _star_parts(backend, wp, head, lam, z, lay)
-        pieces = [_star_parts(backend, x, wp, lam, z, lay) for x in pieces] + [head]
-        weights = [
-            Fraction((-1) ** (r - l), math.factorial(l) * math.factorial(r - l))
-            for l in range(r + 1)
-        ]
-        term = _from_parts(w, *_sum_parts(backend, zip(weights, pieces)), lay)
+            left = _star_parts(backend, wp, cur, lam, z, lay)
+            right = _star_parts(backend, cur, wp, lam, z, lay)
+            cur = _sum_parts(backend, [(Fraction(1, r), left), (Fraction(-1, r), right)])
+        term = _from_parts(w, *cur, lay)
         orders.append(term)
         cumulative = cumulative + term
         c0 = cumulative.grade_component(0)

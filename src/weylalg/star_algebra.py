@@ -35,10 +35,10 @@ dm^(top - k).
 
 The contraction loop itself is ``_star_parts``: packed numerator parts
 (den, parts) over one ``Layout`` in, packed parts out, no ``Element``
-built.  ``star`` is pack, ``_star_parts``, unpack.  The series chains of
-``series_engine`` (``inner_translation_check``, ``truncated_star``) pack
-once, feed each product's parts to the next, add the results with
-``_sum_parts`` over one lcm denominator and unpack only what they return.
+built.  ``star`` is pack, ``_star_parts``, unpack.  ``truncated_star``
+and ``inner_translation_check`` pack once, add products with
+``_sum_parts`` over one lcm denominator (the latter feeds each order to
+the next as its commutator with w) and unpack only what they return.
 
 The float backend runs the same loops on its complex coefficients over
 the denominator 1, in the order of operations of the plain series and
@@ -205,7 +205,7 @@ def _exp_sum(backend, z, steps, den, step_den):
 
 
 def _sum_parts(backend, items):
-    """(den, parts) of sum q x over the items (q, x): rationals q, (den, parts) x.
+    """(den, parts) of sum q x over a list of (q, x): rationals q, (den, parts) x.
 
     On the exact backend the terms go over the one denominator
     lcm(den q.denominator); on the float backend c * q accumulates in item

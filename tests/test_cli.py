@@ -342,11 +342,14 @@ PEIERLS_DIGESTS = {
 }
 
 
+def _peierls_digest(cmd, capsys):
+    code = main(["peierls", *cmd.split()])
+    return hashlib.sha256(capsys.readouterr().out.encode() + b"|%d" % code).hexdigest()
+
+
 def test_peierls_outputs_are_byte_stable(capsys):
     for cmd, digest in PEIERLS_DIGESTS.items():
-        code = main(["peierls", *cmd.split()])
-        out = capsys.readouterr().out.encode() + b"|%d" % code
-        assert hashlib.sha256(out).hexdigest() == digest, cmd
+        assert _peierls_digest(cmd, capsys) == digest, cmd
 
 
 STAR_COMPLEX_DOC = {

@@ -359,9 +359,8 @@ def test_inner_translation_matches_translate():
             assert res["lhs_element"] == translate(v, phi)
 
 
-def test_inner_translation_multiplies_each_piece_by_w_once(monkeypatch):
-    # order 10: w * (w^{*(l-1)} * v) for l = 1..10, and one product with w
-    # on the right for each of the 55 pieces w^{*l} * v * w^{*m} with m >= 1
+def test_inner_translation_takes_two_commutator_products_per_order(monkeypatch):
+    # order r is [w, order r - 1] / r: w * cur, then cur * w, for r = 1..10
     calls = []
 
     def counted(backend, x, y, lam, z, lay, first=0):
@@ -371,10 +370,48 @@ def test_inner_translation_multiplies_each_piece_by_w_once(monkeypatch):
     monkeypatch.setattr(series_engine, "_star_parts", counted)
     w = Q + P.scale(2)
     res = inner_translation_check(w, P, QC(Fraction(1, 3)), DARBOUX, 10)
-    assert len(calls) == 10 + 55
+    assert len(calls) == 2 * 10
     wp = scalars.numerators(_kernels_py.pack(w.terms, calls[0][2]))
-    assert all(wp in (x, y) for x, y, _ in calls)
+    assert all(x == wp for x, _, _ in calls[0::2])
+    assert all(y == wp for _, y, _ in calls[1::2])
     assert all(res["per_degree_match"])
+
+
+def test_conjugation_orders_are_nested_commutators():
+    # sum_{l+m=r} (-1)^m/(l! m!) w^{*l} * x * w^{*m} = [w, [w, ..., x]] / r!,
+    # on a cubic x whose commutators vanish only from r = 4
+    rng = random.Random(47)
+    basis = default_basis()
+    q, p, e1, e2 = (Element.generator(basis, n) for n in basis.names)
+    for trial in range(6):
+        cplx = trial % 2 == 1
+        form = random_even_form(rng, basis, complex_parts=cplx)
+        w = random_degree_one_even(rng, basis)
+        z = random_scalar(rng, complex_parts=cplx) or QC(1)
+        x = Element.zero(basis)
+        for mono in (q * q * p, q * p * e1, p * e1 * e2, q * q * e2, p**3):
+            x = x + mono.scale(random_scalar(rng, complex_parts=cplx))
+        orders = conjugation_orders_oracle(w, x, z, form, 4)
+        nested = x
+        for r in range(1, 5):
+            nested = star(w, nested, z, form) - star(nested, w, z, form)
+            assert orders[r] == nested.scale(QC(Fraction(1, math.factorial(r)))), (trial, r)
+        assert all(orders[1:4]) and not orders[4], trial
+
+
+def test_inner_translation_on_floats_is_close_to_the_exact_result():
+    # the float orders come from the same products, rounded
+    basis = default_basis()
+    form = BilinearForm.from_entries(basis, {("q", "p"): 1, ("p", "q"): Fraction(-1, 2)})
+    fform = BilinearForm.from_entries(basis, {("q", "p"): 1, ("p", "q"): -0.5}, backend="float")
+    q, p = (Element.generator(basis, n) for n in ("q", "p"))
+    fq, fp = (Element.generator(basis, n, "float") for n in ("q", "p"))
+    exact = inner_translation_check(q.scale(2) + p, q - p.scale(3), QC(1, 2), form, 6)
+    floats = inner_translation_check(fq.scale(2) + fp, fq - fp.scale(3), 1 + 2j, fform, 6)
+    assert exact["lhs_element"] == exact["rhs_element"] != Element.zero(basis)
+    assert set(floats["lhs_element"].terms) == set(exact["lhs_element"].terms)
+    for e, c in exact["lhs_element"].terms.items():
+        assert floats["lhs_element"].terms[e] == pytest.approx(complex(c), rel=1e-12)
 
 
 def test_inner_translation_chain_equals_the_direct_products():
@@ -456,6 +493,19 @@ def test_series_products_refuse_a_foreign_form_before_contracting(form, error, c
             truncated_star(exp_element(Q, 4), exp_element(P, 4), QC(1), form, 4)
         else:
             inner_translation_check(Q, P, QC(1), form, 4)
+
+
+@pytest.mark.parametrize(
+    "other, error",
+    [
+        (exp_element(Element.generator(OTHER_BASIS_FORM.basis, "x"), 4), BasisMismatchError),
+        (exp_element(Element.generator(B2, "p", "float"), 4), BackendMismatchError),
+    ],
+    ids=["other-basis", "other-backend"],
+)
+def test_truncated_star_refuses_series_over_another_basis_or_backend(other, error):
+    with pytest.raises(error):
+        truncated_star(exp_element(Q, 4), other, QC(1), DARBOUX, 4)
 
 
 def test_truncated_series_validates_components():
