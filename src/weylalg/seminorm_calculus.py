@@ -12,6 +12,14 @@ arithmetic whenever both sides are rational (rational weights and
 coefficient magnitudes, integer weight exponent R); otherwise they fall
 back to floats.  Verifier grids are embarrassingly parallel and
 deterministic given a seed.
+
+Exact seminorms are integer sums.  With the weights a_i/W over the lcm W
+of their denominators and the coefficients integer numerators over one
+den, degree n sums |numerator| times the product of the a_i^k into one
+integer S_n, and pn(a, n) = S_n/(den W^n).  ``p_R`` and ``p_R_inf`` take
+the n!^R S_n over the one denominator den W^N of the top degree N (times
+N!^|R| for a negative R), and the product estimate's c' is one truncated
+exponential on integers; each builds a single Fraction at the end.
 """
 
 from __future__ import annotations
@@ -32,9 +40,11 @@ REL_TOL = 1e-9
 # log space where only an intermediate overflows, refusal outside the range.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 FLOAT_MIN = sys.float_info.min
-# The exact product and bracket estimates build n!^R and 2^(2Rk) as
-# integers, and their time grows faster than R (about 0.3 s per trial at
-# R = 1000, 12 s at R = 10000); above this integer R they are refused.
+# The exact product and bracket estimates build n!^R and 4^(Rk) as
+# integers, and their time grows faster than R (a product-estimate trial of
+# `verify` takes about 15 ms at R = 1000 and 1 s at R = 10000 with Python
+# 3.11 on a 2-core x86-64 host, most of it in c' and its reduction);
+# above this integer R they are refused.
 EXACT_ESTIMATE_MAX_R = 1000
 
 
@@ -90,6 +100,40 @@ def _coeff_abs(c, exact: bool):
     return abs(c)
 
 
+def _degree_sums(a: Element, p: WeightedSeminorm):
+    """(den, W, sums): pn(a, n) = sums[n] / (den W^n), with integer sums.
+
+    The weights are a_i/W over the lcm W of their denominators and the
+    coefficients integer numerators over one den; sums[n] adds, over the
+    degree-n terms, the modulus of the numerator times the product of the
+    a_i^k.
+    """
+    if a.backend != "exact":
+        raise DomainError("exact seminorms need exact coefficients; this element holds floats")
+    W = math.lcm(*(w.denominator for w in p.weights))
+    pows = [[1, w.numerator * (W // w.denominator)] for w in p.weights]
+    den, (re, *im) = scalars.numerators(a.terms)
+    sums = {}
+    for e in a.terms:
+        m = abs(re.get(e, 0))
+        if im:
+            s = m * m + im[0].get(e, 0) ** 2
+            m = math.isqrt(s)
+            if m * m != s:
+                raise DomainError(
+                    "coefficient magnitude is irrational; exact seminorm unavailable"
+                )
+        for i, k in enumerate(e):
+            if k:
+                row = pows[i]
+                while len(row) <= k:
+                    row.append(row[-1] * row[1])
+                m *= row[k]
+        n = sum(e)
+        sums[n] = sums.get(n, 0) + m
+    return den, W, sums
+
+
 def pn_seminorm(a: Element, n: int, p: WeightedSeminorm, exact: bool = False):
     """Projective tensor seminorm of the degree-n component.
 
@@ -97,23 +141,15 @@ def pn_seminorm(a: Element, n: int, p: WeightedSeminorm, exact: bool = False):
     the product of weights; distinct monomials contribute disjoint tuple
     families, so this collapses to a plain weighted coefficient sum.
     """
-    total = Fraction(0) if exact else 0.0
+    if exact:
+        den, W, sums = _degree_sums(a, p)
+        return Fraction(sums.get(n, 0), den * W**n)
+    total = 0.0
     for e, c in a.terms.items():
         if sum(e) == n:
             # a float times a Fraction multiplies by float(Fraction)
-            total += _coeff_abs(c, exact) * p.monomial_weight(e)
+            total += abs(c) * p.monomial_weight(e)
     return total
-
-
-def _fact_pow(n: int, R, exact: bool):
-    if exact:
-        R = Fraction(R)
-        if R.denominator != 1:
-            raise DomainError("exact factorial powers need an integer R")
-        if R.numerator >= 0:
-            return Fraction(math.factorial(n) ** R.numerator)
-        return Fraction(1, math.factorial(n) ** (-R.numerator))
-    return math.exp(float(R) * math.lgamma(n + 1))
 
 
 def _fact_pow_float(n: int, x: float) -> float:
@@ -132,31 +168,58 @@ def _require_normal_floats(a: Element, count: int, what: str):
         )
 
 
-def _weighted_term(n: int, R, pn, exact: bool):
+def _weighted_term(n: int, R, pn):
     """n!^R * pn; in log space only where n!^R alone overflows, inf beyond binary64."""
     try:
-        return _fact_pow(n, R, exact) * pn
+        return math.exp(float(R) * math.lgamma(n + 1)) * pn
     except OverflowError:
         log_v = float(R) * math.lgamma(n + 1) + math.log(pn) if pn else -math.inf
         return math.exp(log_v) if log_v < LOG_FLOAT_MAX else math.inf
 
 
-def _degree_terms(a: Element, p: WeightedSeminorm, R, exact: bool):
+def _degree_terms(a: Element, p: WeightedSeminorm, R):
     for n, part in a.grade_components().items():
-        yield _weighted_term(n, R, pn_seminorm(part, n, p, exact), exact)
+        yield _weighted_term(n, R, pn_seminorm(part, n, p))
+
+
+def _exact_weighted_terms(a: Element, p: WeightedSeminorm, R):
+    """(numerators, D) of the terms n!^R pn(a, n) over one denominator D.
+
+    With N the top degree, D = den W^N, times N!^|R| when R < 0; the degree-n
+    numerator is n!^R sums[n] W^(N-n), or (N!/n!)^|R| sums[n] W^(N-n).
+    """
+    R = Fraction(R)
+    if R.denominator != 1:
+        raise DomainError("exact factorial powers need an integer R")
+    r = R.numerator
+    den, W, sums = _degree_sums(a, p)
+    N = max(sums, default=0)
+    D = den * W**N
+    if r >= 0:
+        nums = [math.factorial(n) ** r * s * W ** (N - n) for n, s in sums.items()]
+    else:
+        nums = [math.perm(N, N - n) ** -r * s * W ** (N - n) for n, s in sums.items()]
+        D *= math.factorial(N) ** -r
+    return nums, D
 
 
 def p_R(a: Element, p: WeightedSeminorm, R, exact: bool = False):
     """The weighted-factorial seminorm: sum_n n!^R * pn(a, n)."""
-    total = Fraction(0) if exact else 0.0
-    for v in _degree_terms(a, p, R, exact):
+    if exact:
+        nums, D = _exact_weighted_terms(a, p, R)
+        return Fraction(sum(nums), D)
+    total = 0.0
+    for v in _degree_terms(a, p, R):
         total += v
     return total
 
 
 def p_R_inf(a: Element, p: WeightedSeminorm, R, exact: bool = False):
     """The sup variant: sup_n n!^R * pn(a, n)."""
-    return max(_degree_terms(a, p, R, exact), default=Fraction(0) if exact else 0.0)
+    if exact:
+        nums, D = _exact_weighted_terms(a, p, R)
+        return Fraction(max(nums, default=0), D)
+    return max(_degree_terms(a, p, R), default=0.0)
 
 
 def wick_epsilon_norm(a: Element, eps: float):
@@ -342,14 +405,29 @@ def _exponent_and_two(R: Fraction, exact: bool):
     return float(R), 2.0
 
 
-def _series_sum(term, exact: bool, kmax: int = 40):
-    total = Fraction(0) if exact else 0.0
+def _series_sum(term, kmax: int = 40) -> float:
+    total = 0.0
     for k in range(kmax + 1):
         t = term(k)
         total += t
-        if not exact and t < 1e-30 * (total or 1.0):
+        if t < 1e-30 * (total or 1.0):
             break
     return total
+
+
+def _exp_partial_sum(x: Fraction, kmax: int = 40) -> Fraction:
+    """sum_{k <= kmax} x^k/k! as one Fraction.
+
+    With x = u/v it is sum_k u^k v^(kmax-k) kmax!/k! over kmax! v^kmax,
+    the numerator by Horner's rule on integers.
+    """
+    u, v = x.numerator, x.denominator
+    acc, c, vp = 1, 1, 1
+    for k in range(kmax, 0, -1):
+        c *= k
+        vp *= v
+        acc = acc * u + c * vp
+    return Fraction(acc, math.factorial(kmax) * vp)
 
 
 def _require_exact_R_capped(R, exact: bool):
@@ -405,7 +483,9 @@ def verify_product_estimate(
         def term(k):
             return zmag**k * two ** (-2 * r * k) / math.factorial(k)
 
-    c_prime = _series_sum(term, exact)
+    # An exact R is an integer >= 1, so r = 1 in the R <= 1 branches, and
+    # in every branch the k-th term is x^k/k! with x = term(1)
+    c_prime = _exp_partial_sum(term(1)) if exact else _series_sum(term)
     cp = pd.scaled(c)
     rhs = c_prime * p_R(a, cp, R, exact) * p_R(b, cp, R, exact)
     holds = lhs <= rhs if exact else lhs <= rhs * (1 + REL_TOL)

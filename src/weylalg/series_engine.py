@@ -136,30 +136,35 @@ def star_exp(w: Element, t, z, form: BilinearForm, order: int = DEFAULT_ORDER) -
     truncation keeps every term of combined series order <= order, which
     is exactly the partial sum over the first ``order`` star powers.
     Per-degree equality against sum_{l<=order} t^l/l! w*...*w is exact.
+
+    The degree-n coefficient sum_{n+2j<=order} t^(n+2j) h^j/(n! j!), with
+    h = z form(w, w)/2, is (t^n/n!) E_m(t^2 h) for m = (order-n)//2 and E_m
+    the degree-m Taylor polynomial of exp; the partial sums E_m and the
+    t^n/n! come by recurrence.  On the float backend this rounds
+    differently from the double sum, in the last bits.
     """
     _require_degree_one(w)
     if w.parity() != 0:
         raise DomainError("the star-exponential closed form needs an even element")
-    t = scalars.coerce(w.backend, t)
-    z = scalars.coerce(w.backend, z)
+    backend = w.backend
+    t = scalars.coerce(backend, t)
+    z = scalars.coerce(backend, z)
     lam = form.apply(w, w)
-    half_zlam = scalars.mul_rat(w.backend, z * lam, Fraction(1, 2))
+    y = t * t * scalars.mul_rat(backend, z * lam, Fraction(1, 2))
+    # partial[m] = E_m(y), the degree-m Taylor polynomial of exp at y
+    partial = [scalars.one(backend)]
+    term = partial[0]
+    for j in range(1, order // 2 + 1):
+        term = scalars.mul_rat(backend, term * y, Fraction(1, j))
+        partial.append(partial[-1] + term)
     comps = []
-    power = Element.one(w.basis, w.backend)
+    power = Element.one(w.basis, backend)
+    tn = scalars.one(backend)  # t^n/n!
     for n in range(order + 1):
         if n:
             power = power * w
-        coeff = scalars.zero(w.backend)
-        j = 0
-        while n + 2 * j <= order:
-            contrib = scalars.mul_rat(
-                w.backend,
-                t ** (n + 2 * j) * half_zlam**j,
-                Fraction(1, math.factorial(n) * math.factorial(j)),
-            )
-            coeff = coeff + contrib
-            j += 1
-        comps.append(power.scale(coeff))
+            tn = scalars.mul_rat(backend, tn * t, Fraction(1, n))
+        comps.append(power.scale(tn * partial[(order - n) // 2]))
     return TruncatedSeries(
         comps,
         order,
@@ -289,7 +294,7 @@ def convergence_diagnosis(S: TruncatedSeries, p: WeightedSeminorm, R, window: in
     terms = []
     try:
         for n, comp in enumerate(S.components):
-            terms.append(_weighted_term(n, float(R), pn_seminorm(comp, n, p), False))
+            terms.append(_weighted_term(n, float(R), pn_seminorm(comp, n, p)))
     except OverflowError:  # a weight p^n alone is beyond binary64
         terms.append(math.inf)
     partials = []

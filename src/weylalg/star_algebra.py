@@ -199,7 +199,7 @@ def _exp_sum(backend, z, steps, den, step_den):
     else:
         zk = scalars.one(backend)
         for k in range(len(steps)):
-            weights.append((scalars.mul_rat(backend, zk, Fraction(1, math.factorial(k))),))
+            weights.append((zk * (1 / math.factorial(k)),))
             zk = zk * zp[0]
     return den, _weighted(steps, weights)
 

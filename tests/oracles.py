@@ -11,6 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 
+from weylalg import scalars
+from weylalg.errors import DomainError
 from weylalg.graded_poly import Element
 from weylalg.peierls import LatticeSection
 from weylalg.scalars import QC
@@ -250,6 +252,53 @@ def truncated_star_oracle(A, B, z, form, order, budget=None):
         for bl in B.components[: min(B.order, cap) + 1]:
             total = total + star(ak, bl, z, form)
     return [total.grade_component(n) for n in range(order + 1)]
+
+
+def degree_terms_oracle(a: Element, p, R):
+    """Degree n -> n!^R pn(a, n) for an exact element and an integer R.
+
+    pn(a, n) is the per-term definition: |c| times ``p.monomial_weight``
+    of its monomial, summed over the degree-n terms, one Fraction per term.
+    """
+    pn = {}
+    for e, c in a.terms.items():
+        m = scalars.abs_exact(c)
+        if m is None:
+            raise DomainError("coefficient magnitude is irrational")
+        n = sum(e)
+        pn[n] = pn.get(n, Fraction(0)) + m * p.monomial_weight(e)
+    return {n: Fraction(math.factorial(n)) ** R * v for n, v in pn.items()}
+
+
+def c_prime_oracle(zmag: Fraction, R: int) -> Fraction:
+    """The product estimate's c' as the 41-term Fraction sum of its proof branch."""
+    r, two = R, Fraction(2)
+    if R <= 1 and zmag >= 1:
+        terms = (1 / (zmag**k * math.factorial(k) ** (2 * r - 1) * two ** (2 * r * k)) for k in range(41))
+    elif R <= 1:
+        terms = (zmag**k * two ** (-2 * r * k) / math.factorial(k) ** (2 * r - 1) for k in range(41))
+    else:
+        terms = (zmag**k * two ** (-2 * r * k) / math.factorial(k) for k in range(41))
+    return sum(terms, Fraction(0))
+
+
+def star_exp_oracle(w: Element, t, z, form, order):
+    """The star-exponential's components by the double sum
+    sum_{n+2j<=order} t^(n+2j) h^j/(n! j!) w^n, h = z form(w, w)/2."""
+    backend = w.backend
+    t, z = scalars.coerce(backend, t), scalars.coerce(backend, z)
+    h = scalars.mul_rat(backend, z * form.apply(w, w), Fraction(1, 2))
+    comps = []
+    power = Element.one(w.basis, backend)
+    for n in range(order + 1):
+        if n:
+            power = power * w
+        coeff = scalars.zero(backend)
+        for j in range((order - n) // 2 + 1):
+            weight = Fraction(1, math.factorial(n) * math.factorial(j))
+            coeff = coeff + scalars.mul_rat(backend, t ** (n + 2 * j) * h**j, weight)
+        comps.append(power.scale(coeff))
+    return comps
 
 
 def apply_linear_oracle(a: Element, A) -> Element:

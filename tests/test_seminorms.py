@@ -26,7 +26,13 @@ from weylalg import (
 )
 from weylalg.bilinear_forms import TensorPair, p_lambda
 from weylalg.randoms import default_basis, random_element, random_even_form
-from weylalg.seminorm_calculus import _damped_value_in_log_space, _to_float_element
+from weylalg.seminorm_calculus import (
+    _damped_value_in_log_space,
+    _dominating_seminorm,
+    _to_float_element,
+)
+
+from oracles import c_prime_oracle, degree_terms_oracle
 
 B = default_basis()
 Q = Element.generator(B, "q")
@@ -53,6 +59,49 @@ def test_p_R_examples():
     mono = Q * Q * P
     assert p_R(mono, w, 2, exact=True) == Fraction(math.factorial(3) ** 2 * 9 * 2)
     assert p_R(Element.zero(B), UNIT, 1, exact=True) == 0
+
+
+def test_exact_seminorms_equal_the_per_term_definition():
+    rng = random.Random(23)
+    big = BilinearForm.from_entries(B, {("p", "q"): Fraction(49, 3), ("q", "q"): 5})
+    elements = [Element.zero(B), (Q * P * E1).scale(QC(3, 4)) + (P**3).scale(QC(Fraction(5, 2)))]
+    for k in range(24):
+        a = random_element(rng, B, max_degree=6, n_terms=5)
+        elements.append(a.scale(QC(Fraction(-8, 5), Fraction(6, 5))) if k % 3 == 0 else a)
+    seminorms = [UNIT]
+    for _ in range(4):
+        seminorms.append(
+            WeightedSeminorm(
+                B, {n: Fraction(rng.randint(1, 9), rng.randint(1, 7)) for n in B.names}
+            )
+        )
+    rescaled, sigma = _dominating_seminorm(big, seminorms[-1], True)
+    assert sigma > 1 and sigma.denominator > 1
+    seminorms.append(rescaled)
+    for a in elements:
+        for p in seminorms:
+            for R in (-2, 0, 1, 3):
+                terms = degree_terms_oracle(a, p, R)
+                assert p_R(a, p, R, exact=True) == sum(terms.values(), Fraction(0))
+                assert p_R_inf(a, p, R, exact=True) == max(terms.values(), default=Fraction(0))
+            pn = degree_terms_oracle(a, p, 0)
+            for n in range(8):
+                assert pn_seminorm(a, n, p, exact=True) == pn.get(n, 0)
+
+
+def test_exact_seminorms_refuse_an_irrational_modulus_and_float_elements():
+    cases = (
+        (Q.scale(QC(1, 1)) + P, "irrational"),
+        (Element.generator(B, "q", "float"), "exact seminorms need exact coefficients"),
+    )
+    for a, message in cases:
+        for seminorm in (
+            lambda: pn_seminorm(a, 1, UNIT, exact=True),
+            lambda: p_R(a, UNIT, 1, exact=True),
+            lambda: p_R_inf(a, UNIT, 1, exact=True),
+        ):
+            with pytest.raises(DomainError, match=message):
+                seminorm()
 
 
 def test_p_R_inf_sandwich_and_monotonicity():
@@ -239,6 +288,36 @@ def test_product_estimate_grid_exact_integer_R():
         rep = verify_product_estimate(a, b, Fraction(1, 2), form, 1, UNIT, exact=True)
         assert rep.holds
         assert isinstance(rep.lhs, Fraction)
+
+
+def test_product_estimate_c_prime_is_the_41_term_sum():
+    branches = set()
+    for zmag in (Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(7)):
+        for R in (1, 2, 5):
+            rep = verify_product_estimate(Q, P, zmag, STD, R, UNIT)
+            assert rep.constants["c_prime"] == c_prime_oracle(zmag, R)
+            branches.add(rep.constants["branch"])
+    assert branches == {"R<=1,|z|>=1", "R<=1,|z|<1", "R>1"}
+
+
+def test_exact_estimates_weigh_no_monomial_one_by_one(monkeypatch):
+    calls = []
+    weight = WeightedSeminorm.monomial_weight
+
+    def counted(self, exps):
+        calls.append(exps)
+        return weight(self, exps)
+
+    monkeypatch.setattr(WeightedSeminorm, "monomial_weight", counted)
+    rng = random.Random(29)
+    for R in (1, 2):
+        form = random_even_form(rng, B)
+        a = random_element(rng, B, max_degree=4, n_terms=4)
+        b = random_element(rng, B, max_degree=4, n_terms=4)
+        p = WeightedSeminorm(B, {n: Fraction(rng.randint(1, 4), rng.randint(1, 3)) for n in B.names})
+        assert isinstance(verify_product_estimate(a, b, 1, form, R, p).lhs, Fraction)
+        assert isinstance(verify_bracket_estimate(a, b, form, R, p).lhs, Fraction)
+    assert calls == []
 
 
 def test_bracket_estimate_examples():

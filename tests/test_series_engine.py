@@ -39,9 +39,10 @@ from weylalg.randoms import (
     random_rational,
     random_scalar,
 )
+from weylalg.seminorm_calculus import _to_float_element
 from weylalg.star_algebra import _star_parts
 
-from oracles import conjugation_orders_oracle, truncated_star_oracle
+from oracles import conjugation_orders_oracle, star_exp_oracle, truncated_star_oracle
 
 B2 = GeneratorBasis(("q", "p"), ("even", "even"))
 Q = Element.generator(B2, "q")
@@ -99,6 +100,36 @@ def test_star_exp_matches_iterated_star():
             acc = acc + power.scale(QC(t) ** ell * QC(Fraction(1, math.factorial(ell))))
         for n in range(order + 1):
             assert acc.grade_component(n) == S.components[n]
+
+
+def test_star_exp_equals_the_double_sum():
+    # the coefficients by recurrence literally equal sum_j t^(n+2j) h^j/(n! j!)
+    rng = random.Random(47)
+    for order in range(17):
+        for cplx in (False, True):
+            form = random_even_form(rng, B2, complex_parts=cplx)
+            w = random_degree_one_even(rng, B2)
+            t = random_rational(rng, span=2)
+            z = random_scalar(rng, complex_parts=cplx) or QC(1)
+            S = star_exp(w, t, z, form, order)
+            assert list(S.components) == star_exp_oracle(w, t, z, form, order), (order, cplx)
+
+
+def test_float_star_exp_is_close_to_the_exact_one():
+    rng = random.Random(53)
+    for trial in range(8):
+        cplx = trial % 2 == 1
+        form = random_even_form(rng, B2, complex_parts=cplx)
+        w = random_degree_one_even(rng, B2)
+        t = random_rational(rng, span=2)
+        z = random_scalar(rng, complex_parts=cplx) or QC(1)
+        fform = BilinearForm(B2, [[complex(c) for c in row] for row in form.matrix], "float")
+        exact = star_exp(w, t, z, form, 12)
+        floats = star_exp(_to_float_element(w), float(t), complex(z), fform, 12)
+        for ce, cf in zip(exact.components, floats.components):
+            assert set(cf.terms) == set(ce.terms)
+            for e, c in ce.terms.items():
+                assert cf.terms[e] == pytest.approx(complex(c), rel=1e-12), trial
 
 
 def test_star_exp_degenerates_for_antisymmetric_form():
