@@ -30,9 +30,11 @@ exponent tuples.  The kernels need only ``*``, ``+``, unary ``-`` and
 truth testing of the coefficients, and combinatorial multiplicities enter
 as ints.  So one loop serves any coefficient ring: ``QC`` or ``complex``
 values, and the Python-int numerators on which the exact products of
-``star_algebra`` and ``Element.__mul__`` run, calling a kernel once per
-real or imaginary part of each operand.  Each kernel visits its inputs in the order of the tuple loops it
-replaced, so float results keep their order of operations.
+``star_algebra`` and ``Element.__mul__`` run, calling a kernel on the
+real and imaginary parts of the operands (three calls for two complex
+operands, ``graded_poly._bilinear``).  Each kernel visits its inputs in
+the order of the tuple loops it replaced, so float results keep their
+order of operations.
 """
 
 from __future__ import annotations

@@ -16,7 +16,9 @@ every operation is a pure function, safe for concurrent use.
 Products run on packed monomials (``_kernels_py``) and, on the exact
 backend, on Python-int numerators over one denominator per operand
 (``_parts``), so each output coefficient is built once, as a ``QC``,
-whatever exact type the inputs held.
+whatever exact type the inputs held.  A power a^n packs a once and runs
+n products on those numerators (``_powers``), the chain the series
+exponentials share.
 """
 
 from __future__ import annotations
@@ -177,10 +179,10 @@ class Element:
     def __pow__(self, n):
         if not isinstance(n, int) or n < 0:
             raise DomainError("powers must be nonnegative integers")
-        out = Element.one(self.basis, self.backend)
-        for _ in range(n):
-            out = out * self
-        return out
+        lay, powers = _powers(self, n)
+        for power in powers:  # run the chain to a^n
+            pass
+        return _from_parts(self, *power, lay)
 
     def __eq__(self, other):
         if not isinstance(other, Element):
@@ -335,18 +337,39 @@ def _parts(backend, values):
     return 1, (values,)
 
 
-def _bilinear(f, xs, ys):
+def _bilinear(f, xs, ys, ysum=None):
     """The parts of f(x, y) for a bilinear f, from the parts of x and y.
 
-    One call of f per pair of parts; an imaginary part that comes out
-    zero is dropped, so real inputs stay on one part.
+    One call of f per pair of parts, except that a complex x and y take
+    three calls, as Gauss multiplied complex numbers: the real part is
+    f(xr, yr) - f(xi, yi) and the imaginary part f(xr + xi, yr + yi) minus
+    both.  On integer numerators the result is the same.  An imaginary
+    part that comes out zero is dropped, so real inputs stay on one part.
+    A caller that passes the same y at every step of a chain forms
+    yr + yi once (``_part_sum``) and hands it in as ``ysum``.
     """
     if len(xs) == 1 or len(ys) == 1:
         parts = [f(x, y) for x in xs for y in ys]
     else:
         (xr, xi), (yr, yi) = xs, ys
-        parts = [_merge(f(xr, yr), f(xi, yi), -1), _merge(f(xr, yi), f(xi, yr), 1)]
+        rr, ii = f(xr, yr), f(xi, yi)
+        ysum = _plus(yr, yi) if ysum is None else ysum
+        im = _merge(_merge(f(_plus(xr, xi), ysum), rr, -1), ii, -1)
+        parts = [_merge(rr, ii, -1), im]
     return tuple(parts if parts[-1] else parts[:1])
+
+
+def _plus(x, y):
+    """x + y for two parts: term maps, or lists of form entries (i, j, c) in (i, j) order."""
+    if isinstance(x, dict):
+        return _merge(dict(x), y, 1)
+    out = _merge({(i, j): c for i, j, c in x}, {(i, j): c for i, j, c in y}, 1)
+    return [(i, j, c) for (i, j), c in sorted(out.items())]
+
+
+def _part_sum(parts):
+    """The sum of a complex pair of parts, None for a real one (see ``_bilinear``)."""
+    return _plus(*parts) if len(parts) == 2 else None
 
 
 def _merge(terms, other, sign):
@@ -354,6 +377,27 @@ def _merge(terms, other, sign):
     for key, c in other.items():
         _accumulate(terms, key, c if sign > 0 else -c)
     return terms
+
+
+def _powers(a: Element, n):
+    """The layout of a^n and an iterator over the (den, parts) of a^0 .. a^n.
+
+    a is packed once; each power is one ``_bilinear(mul_terms)`` of the
+    last with a, over the denominator den(a)^k, as repeated ``*`` forms it
+    (on the float backend in the same order, so with the same bits).
+    """
+    lay = K.Layout.of(a.basis, n * K.top_exponent(a.terms))
+    da, xs = _parts(a.backend, K.pack(a.terms, lay))
+    xsum = _part_sum(xs)
+
+    def chain():
+        den, cur = _parts(a.backend, {0: scalars.one(a.backend)})
+        yield den, cur
+        for _ in range(n):
+            den, cur = den * da, _bilinear(lambda x, y: K.mul_terms(x, y, lay), cur, xs, xsum)
+            yield den, cur
+
+    return lay, chain()
 
 
 def _from_parts(a: Element, den, parts, lay=None) -> Element:

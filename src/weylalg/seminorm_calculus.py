@@ -100,6 +100,17 @@ def _coeff_abs(c, exact: bool):
     return abs(c)
 
 
+def _rational_magnitudes(values) -> bool:
+    """Is |c| rational for every exact scalar c given (``QC``, int or Fraction)?
+
+    Only a ``QC`` with a nonzero imaginary part needs a square root.
+    """
+    return all(
+        not (isinstance(c, scalars.QC) and c.im) or scalars.abs_exact(c) is not None
+        for c in values
+    )
+
+
 def _degree_sums(a: Element, p: WeightedSeminorm):
     """(den, W, sums): pn(a, n) = sums[n] / (den W^n), with integer sums.
 
@@ -447,20 +458,29 @@ def verify_product_estimate(
     proof branch, evaluated as a partial sum (a lower bound, which only
     strengthens the check).  Requires R >= 1/2; the estimate is not
     claimed below that.
+
+    With ``exact=None`` the exact path is taken where it can answer: R an
+    integer, exact coefficients, and every magnitude it uses rational
+    (|z|, the form entries and the coefficients of a, b and a * b).
+    Otherwise the float path answers.
     """
     R = Fraction(R)
     if R < Fraction(1, 2):
         raise RefusedPreconditionError("the product estimate requires R >= 1/2")
-    if exact is None:
-        exact = R.denominator == 1 and a.backend == "exact"
     if exact and R.denominator != 1:
         raise DomainError("exact product estimate needs an integer R")
-    _require_exact_R_capped(R, exact)
     z = scalars.coerce(a.backend, z)
+    prod = star(a, b, z, form)
+    if exact is None:
+        exact = (
+            R.denominator == 1
+            and a.backend == "exact"
+            and _rational_magnitudes([z, *(c for _, _, c in form._entries)])
+            and all(_rational_magnitudes(x.terms.values()) for x in (a, b, prod))
+        )
+    _require_exact_R_capped(R, exact)
     zmag = _coeff_abs(z, exact)
     pd, sigma = _dominating_seminorm(form, p, exact)
-
-    prod = star(a, b, z, form)
     lhs = p_R(prod, pd, R, exact)
 
     r, two = _exponent_and_two(R, exact)

@@ -26,7 +26,7 @@ from . import scalars
 from .basis import require_same_basis
 from .bilinear_forms import BilinearForm, lambda_parts
 from .errors import DomainError, RefusedPreconditionError, TruncationBudgetError
-from .graded_poly import Element, _from_parts, _parts
+from .graded_poly import Element, _from_parts, _parts, _powers
 from .seminorm_calculus import (
     LOG_FLOAT_MAX,
     WeightedSeminorm,
@@ -36,7 +36,16 @@ from .seminorm_calculus import (
     _weighted_term,
     pn_seminorm,
 )
-from .star_algebra import _entry_parts, _star_parts, _sum_parts, star
+from .star_algebra import (
+    _chain,
+    _entry_parts,
+    _scalar_parts,
+    _star_parts,
+    _sum_parts,
+    _tensor,
+    _weighted,
+    star,
+)
 
 RATIO_BAND = (0.95, 1.05)
 SLOPE_TOL = 0.01
@@ -104,25 +113,24 @@ def exp_element(v: Element, order: int = DEFAULT_ORDER) -> TruncatedSeries:
 
     For a purely odd v the series terminates exactly at 1 + v.  The
     weighted partial sums p(v)^n n!^{R-1} of the seminorm of the result
-    converge precisely for R < 1; see ``convergence_diagnosis``.  On the
-    float backend a coefficient below the normal binary64 range is refused.
+    converge precisely for R < 1; see ``convergence_diagnosis``.  The
+    powers v^n come from one packed chain (``graded_poly._powers``) and
+    each component is built once, as v^n scaled by 1/n!.  On the float
+    backend a coefficient below the normal binary64 range is refused.
     """
     _require_degree_one(v)
     floats = v.backend == "float"
     nilpotent = v.parity() == 1
-    comps = [Element.one(v.basis, v.backend)]
-    power = Element.one(v.basis, v.backend)
+    lay, powers = _powers(v, order)
+    comps = []
     tail = True
-    for n in range(1, order + 1):
-        power = power * v
-        if not power and (nilpotent or not floats):
-            comps.extend(
-                Element.zero(v.basis, v.backend) for _ in range(n, order + 1)
-            )
+    for n, power in enumerate(powers):
+        if not any(power[1]) and (nilpotent or not floats):
+            comps.extend(Element.zero(v.basis, v.backend) for _ in range(n, order + 1))
             tail = False
             break
-        comp = power.scale(Fraction(1, math.factorial(n)))
-        if floats:
+        comp = _component(v, power, Fraction(1, math.factorial(n)), lay)
+        if floats and n:
             # v^n has at least as many terms as v^(n-1) unless v is odd
             _require_normal_floats(comp, len(comps[-1].terms), f"exp degree {n}")
         comps.append(comp)
@@ -140,7 +148,9 @@ def star_exp(w: Element, t, z, form: BilinearForm, order: int = DEFAULT_ORDER) -
     The degree-n coefficient sum_{n+2j<=order} t^(n+2j) h^j/(n! j!), with
     h = z form(w, w)/2, is (t^n/n!) E_m(t^2 h) for m = (order-n)//2 and E_m
     the degree-m Taylor polynomial of exp; the partial sums E_m and the
-    t^n/n! come by recurrence.  On the float backend this rounds
+    t^n/n! come by recurrence, and w^n from one packed chain
+    (``graded_poly._powers``).  Each component is built once, as w^n
+    scaled by its coefficient.  On the float backend this rounds
     differently from the double sum, in the last bits.
     """
     _require_degree_one(w)
@@ -158,13 +168,12 @@ def star_exp(w: Element, t, z, form: BilinearForm, order: int = DEFAULT_ORDER) -
         term = scalars.mul_rat(backend, term * y, Fraction(1, j))
         partial.append(partial[-1] + term)
     comps = []
-    power = Element.one(w.basis, backend)
+    lay, powers = _powers(w, order)
     tn = scalars.one(backend)  # t^n/n!
-    for n in range(order + 1):
+    for n, power in enumerate(powers):
         if n:
-            power = power * w
             tn = scalars.mul_rat(backend, tn * t, Fraction(1, n))
-        comps.append(power.scale(tn * partial[(order - n) // 2]))
+        comps.append(_component(w, power, tn * partial[(order - n) // 2], lay))
     return TruncatedSeries(
         comps,
         order,
@@ -178,8 +187,10 @@ def f_epsilon_series(v: Element, eps, order: int = DEFAULT_ORDER) -> TruncatedSe
 
     Its weighted partial sums n!^{R-eps} p(v)^n converge iff R < eps, so
     for eps < 1 these elements escape every completion that still carries
-    the star product.  Non-integer eps forces float coefficients; one
-    below the normal binary64 range is refused.
+    the star product.  The powers v^n come from one packed chain
+    (``graded_poly._powers``) and each component is built once, scaled by
+    n!^-eps.  Non-integer eps forces float coefficients; one below the
+    normal binary64 range is refused.
     """
     _require_degree_one(v)
     if v.parity() != 0:
@@ -190,17 +201,35 @@ def f_epsilon_series(v: Element, eps, order: int = DEFAULT_ORDER) -> TruncatedSe
     exact_ok = eps_f.denominator == 1 and v.backend == "exact"
     if not exact_ok:
         v = _to_float_element(v)
-    comps = [Element.one(v.basis, v.backend)]
-    power = Element.one(v.basis, v.backend)
-    for n in range(1, order + 1):
-        power = power * v
+    comps = []
+    lay, powers = _powers(v, order)
+    for n, power in enumerate(powers):
         if exact_ok:
-            comps.append(power.scale(Fraction(1, math.factorial(n) ** eps_f.numerator)))
+            scale = Fraction(1, math.factorial(n) ** eps_f.numerator)
+            comps.append(_component(v, power, scale, lay))
         else:
-            comp = power.scale(complex(_fact_pow_float(n, -float(eps_f)), 0))
-            _require_normal_floats(comp, len(comps[-1].terms), f"f_eps degree {n}")
+            comp = _component(v, power, complex(_fact_pow_float(n, -float(eps_f)), 0), lay)
+            if n:
+                _require_normal_floats(comp, len(comps[-1].terms), f"f_eps degree {n}")
             comps.append(comp)
     return TruncatedSeries(comps, order, {"kind": "f_eps", "eps": eps}, has_tail=bool(v))
+
+
+def _component(v: Element, power, scale, lay) -> Element:
+    """The Element scale * v^n from the packed (den, parts) of v^n.
+
+    On the exact backend the numerator parts of the scale multiply the
+    parts and its denominator the den, so each coefficient is built
+    once; on the float backend it is c * scale, as ``Element.scale``
+    rounds it.
+    """
+    den, parts = power
+    if v.backend == "exact":
+        ds, sp = _scalar_parts(v.backend, scale)
+        return _from_parts(v, den * ds, _weighted([parts], [sp]), lay)
+    scale = scalars.coerce(v.backend, scale)
+    terms = {e: c * scale for e, c in parts[0].items()} if scale else {}
+    return _from_parts(v, 1, (terms,), lay)
 
 
 def _require_degree_one(v: Element):
@@ -226,10 +255,15 @@ def truncated_star(
     degree unless the partner series is a polynomial.
 
     The components are packed once, over one layout.  They are
-    homogeneous, so step j of A_k * B_l has degree k + l - 2j: the steps
-    above ``order`` are contracted through but never summed, and the kept
-    steps of every product go into one accumulation over one denominator,
-    split by degree at the end.
+    homogeneous, so step j of A_k * B_l has degree k + l - 2j >= |k - l|:
+    a pair with |k - l| > order never reaches the output and is dropped.
+    The others go into one bucket per total degree D = k + l, whose
+    tensor products, merged over the lcm of their denominators, run one
+    contraction chain (``star_algebra._chain``) that sums only the steps
+    j >= (D - order) / 2.  The chains are added over one denominator and
+    split by degree at the end.  On the float backend the sums run in
+    another order than the plain sum of per-pair products, so values may
+    differ from it in the last bits.
     """
     require_same_basis(A, B)
     require_same_basis(A, form)
@@ -244,15 +278,20 @@ def truncated_star(
         [_parts(backend, K.pack(c.terms, lay)) if c else None for c in cs] for cs in consulted
     )
     lam = _entry_parts(backend, form._entries)
-    products = []
+    buckets = {}
     for k, x in enumerate(xs):
-        if not x:
-            continue
         for l, y in enumerate(ys):
-            first = max(0, (k + l - order + 1) // 2)
-            if y and first <= min(k, l):
-                products.append((1, _star_parts(backend, x, y, lam, z, lay, first)))
-    grades = _from_parts(A, *_sum_parts(backend, products), lay).grade_components()
+            if x and y and abs(k - l) <= order:
+                buckets.setdefault(k + l, []).append((x, y))
+    chains = []
+    for degree, pairs in buckets.items():
+        tensors = [(1, _tensor(x, y, lay)) for x, y in pairs]
+        u = _sum_parts(backend, tensors) if len(tensors) > 1 else tensors[0][1]
+        left = [p for (_, xp), _ in pairs for p in xp]
+        right = [p for _, (_, yp) in pairs for p in yp]
+        first = max(0, (degree - order + 1) // 2)
+        chains.append((1, _chain(backend, u, left, right, lam, z, lay, first)))
+    grades = _from_parts(A, *_sum_parts(backend, chains), lay).grade_components()
     out = [grades.get(n) or Element.zero(A.basis, backend) for n in range(order + 1)]
 
     la, lb = A.polynomial_degree(), B.polynomial_degree()

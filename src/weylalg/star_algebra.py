@@ -19,8 +19,9 @@ On the exact backend the three operations also leave ``QC`` at entry:
 the operands, the form entries and z become Python-int numerators over
 one positive denominator each (``scalars.numerators``), a real part and,
 only where some imaginary part is nonzero, an imaginary part.  The
-monomial kernels run on those ints, at most four calls per contraction
-step (real and imaginary parts of operand and form), and z^k/k! with the
+monomial kernels run on those ints, at most three calls per contraction
+step (``graded_poly._bilinear`` takes a complex tensor against a complex
+form as Gauss's three-multiplication product), and z^k/k! with the
 form's denominator power is folded into one shared output denominator.
 Each output coefficient is reduced by a gcd once, when it is built.
 
@@ -33,17 +34,26 @@ folds each term left to right with the generator images, as numerator
 maps over one denominator dm, and pads a term of degree k by
 dm^(top - k).
 
-The contraction loop itself is ``_star_parts``: packed numerator parts
-(den, parts) over one ``Layout`` in, packed parts out, no ``Element``
-built.  ``star`` is pack, ``_star_parts``, unpack.  ``truncated_star``
-and ``inner_translation_check`` pack once, add products with
-``_sum_parts`` over one lcm denominator (the latter feeds each order to
-the next as its commutator with w) and unpack only what they return.
+The contraction loop itself is ``_chain``: the packed numerator parts
+(den, parts) of a tensor-pair map over one ``Layout`` in, packed parts
+out, no ``Element`` built.  It drops the form entries that pair a
+generator absent from every left operand or from every right one.
+``_star_parts`` is the tensor step of two operands, then ``_chain``;
+``star`` is pack, ``_star_parts``, unpack.  ``inner_translation_check``
+packs once, feeds each order to the next as its commutator with w and
+adds the two products with ``_sum_parts`` over one lcm denominator.
+``truncated_star`` packs once, merges the tensor products of all pairs
+(k, l) of one total degree k + l over one lcm denominator and runs one
+``_chain`` per degree, from the first step that can reach the output;
+the chains are added with ``_sum_parts``.  Both unpack only what they
+return.
 
 The float backend runs the same loops on its complex coefficients over
 the denominator 1, in the order of operations of the plain series and
 loops (the factor v^(k-j) * C(k, j) per power, the fold from
-one * coefficient), so its values are theirs bit for bit.  Exact
+one * coefficient), so its values are theirs bit for bit.
+``truncated_star`` sums the pairs of one degree before contracting, so
+its float values round differently from the plain sum of products.  Exact
 results are literal values, independent of any evaluation order; every
 function is pure and thread-safe.
 """
@@ -58,7 +68,7 @@ from . import scalars
 from .basis import require_same_basis
 from .bilinear_forms import BilinearForm, _laplace_entries, lambda_parts
 from .errors import DomainError, ParityBlockError
-from .graded_poly import Element, _accumulate, _bilinear, _from_parts, _parts
+from .graded_poly import Element, _accumulate, _bilinear, _from_parts, _part_sum, _parts
 
 
 def star(a: Element, b: Element, z, form: BilinearForm) -> Element:
@@ -128,9 +138,10 @@ def equivalence_transform(a: Element, z, g: BilinearForm) -> Element:
     da, cur = _parts(a.backend, K.pack(a.terms, lay))
     dg, gam = _entry_parts(a.backend, _laplace_entries(g))
     steps = []
+    gsum = _part_sum(gam)
     while any(cur):
         steps.append(cur)
-        cur = _bilinear(lambda t, e: K.laplace_bulk(t, e, lay), cur, gam)
+        cur = _bilinear(lambda t, e: K.laplace_bulk(t, e, lay), cur, gam, gsum)
     return _from_parts(a, *_exp_sum(a.backend, z, steps, da, dg), lay)
 
 
@@ -156,23 +167,59 @@ def _gauss_mul(x, y):
     return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _star_parts(backend, x, y, lam, z, lay, first=0):
+def _star_parts(backend, x, y, lam, z, lay):
     """The (den, parts) of x * y deformed by the form, packed over ``lay``.
 
     x and y are the (den, parts) of two operands, ``lam`` the form's
     ``_entry_parts`` and z the scalar; ``lay`` must hold the exponents of
-    the product.  This is the package's one contraction loop, shared by
-    ``star`` and the series chains, which keep its output as the next
-    operand.  The steps k < first are contracted through but left out of
-    the sum.
+    the product.  ``star`` and the series chains, which keep the output
+    as the next operand, share it: the tensor step, then ``_chain``.
     """
-    (dx, xs), (dy, ys), (dl, entries) = x, y, lam
-    u = _bilinear(lambda s, t: K.tensor_terms(s, t, lay), xs, ys)
+    return _chain(backend, _tensor(x, y, lay), x[1], y[1], lam, z, lay)
+
+
+def _tensor(x, y, lay):
+    """The (den, parts) of the tensor-pair map x (x) y, from those of x and y."""
+    (dx, xs), (dy, ys) = x, y
+    return dx * dy, _bilinear(lambda s, t: K.tensor_terms(s, t, lay), xs, ys)
+
+
+def _support(parts):
+    """The bitwise or of the packed monomials in a list of parts: field i
+    is nonzero exactly when generator i occurs in one of them."""
+    sup = 0
+    for part in parts:
+        for e in part:
+            sup |= e
+    return sup
+
+
+def _chain(backend, u, left, right, lam, z, lay, first=0):
+    """(den, parts) of sum_k z^k/k! mu(P^k u) over k >= first, u = (den, parts).
+
+    This is the package's one contraction loop.  ``left`` and ``right``
+    list the parts of the left and right operands whose tensor products u
+    holds.  A form entry (i, j) with generator i in no left operand or j
+    in no right operand contracts nothing, so it is dropped before the
+    loop (contractions only lower exponents).  The steps k < first are
+    contracted through but left out of the sum.
+    """
+    (du, u), (dl, entries) = u, lam
+    if any(u):
+        fm, shifts = lay.fmask, lay.shifts
+        left, right = _support(left), _support(right)
+        entries = [
+            [(i, j, c) for i, j, c in part if left >> shifts[i] & fm and right >> shifts[j] & fm]
+            for part in entries
+        ]
+        if len(entries) > 1 and not entries[1]:
+            del entries[1]
+    esum = _part_sum(entries)
     steps = []
     while any(u):
         steps.append(tuple(K.mu_terms(t, lay) for t in u) if len(steps) >= first else ())
-        u = _bilinear(lambda t, e: K.contract_terms(t, e, lay), u, entries)
-    return _exp_sum(backend, z, steps, dx * dy, dl)
+        u = _bilinear(lambda t, e: K.contract_terms(t, e, lay), u, entries, esum)
+    return _exp_sum(backend, z, steps, du, dl)
 
 
 def _exp_sum(backend, z, steps, den, step_den):

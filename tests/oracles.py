@@ -16,6 +16,7 @@ from weylalg.errors import DomainError
 from weylalg.graded_poly import Element
 from weylalg.peierls import LatticeSection
 from weylalg.scalars import QC
+from weylalg.seminorm_calculus import _fact_pow_float, _require_normal_floats, _to_float_element
 from weylalg.star_algebra import star
 
 
@@ -299,6 +300,83 @@ def star_exp_oracle(w: Element, t, z, form, order):
             coeff = coeff + scalars.mul_rat(backend, t ** (n + 2 * j) * h**j, weight)
         comps.append(power.scale(coeff))
     return comps
+
+
+def exp_series_oracle(v: Element, order):
+    """The components of ``exp_element`` by the plain loop: power = power * v,
+    then power.scale(1/n!), with the float refusal checks per degree."""
+    floats = v.backend == "float"
+    nilpotent = v.parity() == 1
+    comps = [Element.one(v.basis, v.backend)]
+    power = Element.one(v.basis, v.backend)
+    for n in range(1, order + 1):
+        power = power * v
+        if not power and (nilpotent or not floats):
+            comps.extend(Element.zero(v.basis, v.backend) for _ in range(n, order + 1))
+            break
+        comp = power.scale(Fraction(1, math.factorial(n)))
+        if floats:
+            _require_normal_floats(comp, len(comps[-1].terms), f"exp degree {n}")
+        comps.append(comp)
+    return comps
+
+
+def f_epsilon_series_oracle(v: Element, eps, order):
+    """The components of ``f_epsilon_series`` by the plain loop: power = power * v,
+    then power.scale(1/n!^eps), with the float refusal checks per degree."""
+    eps_f = Fraction(eps)
+    exact_ok = eps_f.denominator == 1 and v.backend == "exact"
+    if not exact_ok:
+        v = _to_float_element(v)
+    comps = [Element.one(v.basis, v.backend)]
+    power = Element.one(v.basis, v.backend)
+    for n in range(1, order + 1):
+        power = power * v
+        if exact_ok:
+            comps.append(power.scale(Fraction(1, math.factorial(n) ** eps_f.numerator)))
+        else:
+            comp = power.scale(complex(_fact_pow_float(n, -float(eps_f)), 0))
+            _require_normal_floats(comp, len(comps[-1].terms), f"f_eps degree {n}")
+            comps.append(comp)
+    return comps
+
+
+def star_exp_loop_oracle(w: Element, t, z, form, order):
+    """The components of ``star_exp`` by the plain loop: power = power * w, then
+    power.scale((t^n/n!) E_m(t^2 h)), with the same scalar recurrences."""
+    backend = w.backend
+    t, z = scalars.coerce(backend, t), scalars.coerce(backend, z)
+    y = t * t * scalars.mul_rat(backend, z * form.apply(w, w), Fraction(1, 2))
+    partial = [scalars.one(backend)]
+    term = partial[0]
+    for j in range(1, order // 2 + 1):
+        term = scalars.mul_rat(backend, term * y, Fraction(1, j))
+        partial.append(partial[-1] + term)
+    comps = []
+    power = Element.one(w.basis, backend)
+    tn = scalars.one(backend)
+    for n in range(order + 1):
+        if n:
+            power = power * w
+            tn = scalars.mul_rat(backend, tn * t, Fraction(1, n))
+        comps.append(power.scale(tn * partial[(order - n) // 2]))
+    return comps
+
+
+def bilinear_oracle(f, xs, ys):
+    """The parts of f(x, y) by the four-call complex product: f(xr, yr) - f(xi, yi)
+    and f(xr, yi) + f(xi, yr), an imaginary part that comes out empty dropped."""
+    if len(xs) == 1 or len(ys) == 1:
+        parts = [f(x, y) for x in xs for y in ys]
+    else:
+        (xr, xi), (yr, yi) = xs, ys
+        re, im = f(xr, yr), f(xr, yi)
+        for key, c in f(xi, yi).items():
+            _add_into(re, key, -c)
+        for key, c in f(xi, yr).items():
+            _add_into(im, key, c)
+        parts = [re, im]
+    return tuple(parts if parts[-1] else parts[:1])
 
 
 def apply_linear_oracle(a: Element, A) -> Element:

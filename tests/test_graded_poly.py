@@ -21,9 +21,26 @@ from weylalg import (
     parity_split,
     sym_product,
 )
-from weylalg.randoms import default_basis, random_element
+from weylalg import _kernels_py as K
+from weylalg import scalars
+from weylalg.bilinear_forms import _laplace_entries
+from weylalg.graded_poly import _bilinear
+from weylalg.randoms import (
+    default_basis,
+    random_element,
+    random_even_form,
+    random_graded_symmetric_form,
+)
+from weylalg.seminorm_calculus import _to_float_element
+from weylalg.star_algebra import _entry_parts
 
-from oracles import product_oracle, symmetrize, element_to_tensor, tensor_to_element
+from oracles import (
+    bilinear_oracle,
+    element_to_tensor,
+    product_oracle,
+    symmetrize,
+    tensor_to_element,
+)
 
 B = default_basis()
 Q = Element.generator(B, "q")
@@ -198,3 +215,77 @@ def test_scale_accepts_plain_rationals_on_both_backends():
     assert q_exact.scale(F(1, 2)) == q_exact.scale(QC(F(1, 2)))
     assert q_float.scale(F(1, 2)) == q_float.scale(0.5 + 0j)
     assert not q_exact.scale(0)
+
+
+def test_powers_equal_repeated_products():
+    # literal equality on exact elements (real, complex, with odd generators),
+    # the same bits on floats
+    rng = random.Random(61)
+    cases = [
+        Q.scale(QC(Fraction(2, 3))),
+        random_element(rng, B, max_degree=2, n_terms=3),
+        random_element(rng, B, max_degree=2, n_terms=3, complex_parts=True),
+        E1 + E2.scale(QC(0, 1)) + Q.scale(QC(Fraction(1, 2), -1)),
+        E1 * E2 + E1,  # nilpotent: its square vanishes
+    ]
+    for a in cases:
+        fa = _to_float_element(a)
+        expected, fexpected = ONE, Element.one(B, "float")
+        for n in range(9):
+            assert a**n == expected, (a, n)
+            assert _bits(fa**n) == _bits(fexpected), (a, n)
+            expected, fexpected = expected * a, fexpected * fa
+    with pytest.raises(DomainError):
+        Q ** -1
+
+
+def _bits(a):
+    return {e: (c.real.hex(), c.imag.hex()) for e, c in a.terms.items()}
+
+
+def _complex_parts(rng, lay, basis=B):
+    """The (re, im) numerator parts of a seeded complex element, packed over ``lay``."""
+    while True:
+        a = random_element(rng, basis, max_degree=3, n_terms=4, complex_parts=True)
+        parts = scalars.numerators(K.pack(a.terms, lay))[1]
+        if len(parts) == 2 and all(parts):
+            return parts
+
+
+def test_complex_bilinear_takes_three_calls_and_equals_the_four_call_product():
+    rng = random.Random(67)
+    lay = K.Layout.of(B, 6)
+    calls, checked = [], []
+
+    def counted(f):
+        return lambda *args: calls.append(1) or f(*args)
+
+    def check(f, xs, ys):
+        calls.clear()
+        got = _bilinear(counted(f), xs, ys)
+        assert len(calls) == 3
+        assert got == bilinear_oracle(f, xs, ys)
+        return got
+
+    for trial in range(6):
+        form = random_even_form(rng, B, complex_parts=True)
+        sym = random_graded_symmetric_form(rng, B, complex_parts=True)
+        _, lam = _entry_parts("exact", form._entries)
+        _, gam = _entry_parts("exact", _laplace_entries(sym))
+        xs, ys = _complex_parts(rng, lay), _complex_parts(rng, lay)
+        check(lambda x, y: K.mul_terms(x, y, lay), xs, ys)
+        u = check(lambda x, y: K.tensor_terms(x, y, lay), xs, ys)
+        if len(lam) == 2 and all(lam):
+            check(lambda t, e: K.contract_terms(t, e, lay), u, lam)
+            checked.append("contract_terms")
+        if len(gam) == 2 and all(gam):
+            check(lambda t, e: K.laplace_bulk(t, e, lay), xs, gam)
+            checked.append("laplace_bulk")
+    assert set(checked) == {"contract_terms", "laplace_bulk"}
+    # (x + iy)(x - iy) on even generators is real: its empty imaginary part is dropped
+    even = GeneratorBasis(("q", "p"), ("even", "even"))
+    lay = K.Layout.of(even, 6)
+    xr, xi = _complex_parts(rng, lay, even)
+    conj = (xr, {e: -c for e, c in xi.items()})
+    got = check(lambda x, y: K.mul_terms(x, y, lay), (xr, xi), conj)
+    assert len(got) == 1 and got[0]

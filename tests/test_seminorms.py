@@ -290,6 +290,28 @@ def test_product_estimate_grid_exact_integer_R():
         assert isinstance(rep.lhs, Fraction)
 
 
+def test_product_estimate_takes_the_exact_path_only_where_it_can_answer():
+    # with z = 3 + 4i the star product's coefficients are complex and most
+    # of their moduli irrational: the default takes the float path there,
+    # and the exact path where every modulus is rational (|z| = 5)
+    rng = random.Random(5)
+    paths = []
+    for _ in range(20):
+        a = random_element(rng, B, max_degree=3, n_terms=3)
+        b = random_element(rng, B, max_degree=3, n_terms=3)
+        form = random_even_form(rng, B)
+        rep = verify_product_estimate(a, b, QC(3, 4), form, 1, UNIT)
+        assert rep.holds
+        paths.append(isinstance(rep.lhs, Fraction))
+        if not paths[-1]:
+            with pytest.raises(DomainError, match="irrational"):
+                verify_product_estimate(a, b, QC(3, 4), form, 1, UNIT, exact=True)
+    assert True in paths and False in paths
+    # plain int and Fraction coefficients have rational moduli
+    a = Element(B, "exact", {(1, 0, 0, 0): 2, (0, 1, 0, 0): Fraction(-1, 3)})
+    assert isinstance(verify_product_estimate(a, a, QC(3, 4), DARBOUX, 1, UNIT).lhs, Fraction)
+
+
 def test_product_estimate_c_prime_is_the_41_term_sum():
     branches = set()
     for zmag in (Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(7)):

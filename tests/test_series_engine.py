@@ -42,7 +42,14 @@ from weylalg.randoms import (
 from weylalg.seminorm_calculus import _to_float_element
 from weylalg.star_algebra import _star_parts
 
-from oracles import conjugation_orders_oracle, star_exp_oracle, truncated_star_oracle
+from oracles import (
+    conjugation_orders_oracle,
+    exp_series_oracle,
+    f_epsilon_series_oracle,
+    star_exp_loop_oracle,
+    star_exp_oracle,
+    truncated_star_oracle,
+)
 
 B2 = GeneratorBasis(("q", "p"), ("even", "even"))
 Q = Element.generator(B2, "q")
@@ -394,9 +401,9 @@ def test_inner_translation_takes_two_commutator_products_per_order(monkeypatch):
     # order r is [w, order r - 1] / r: w * cur, then cur * w, for r = 1..10
     calls = []
 
-    def counted(backend, x, y, lam, z, lay, first=0):
+    def counted(backend, x, y, lam, z, lay):
         calls.append((x, y, lay))
-        return _star_parts(backend, x, y, lam, z, lay, first)
+        return _star_parts(backend, x, y, lam, z, lay)
 
     monkeypatch.setattr(series_engine, "_star_parts", counted)
     w = Q + P.scale(2)
@@ -493,13 +500,130 @@ def test_truncated_star_equals_the_plain_sum_of_component_products():
 
 
 def test_truncated_star_sums_no_step_above_the_order(monkeypatch):
-    # step j of q^k * p^l has degree k + l - 2j; only steps of degree <= 4 reach mu
-    calls = []
-    mu = _kernels_py.mu_terms
-    monkeypatch.setattr(_kernels_py, "mu_terms", lambda t, lay: calls.append(1) or mu(t, lay))
+    # step j of q^k * p^l has degree k + l - 2j; only terms of degree <= 4 reach mu
+    degrees, calls = [], {"mu_terms": 0, "contract_terms": 0}
+    mu, contract = _kernels_py.mu_terms, _kernels_py.contract_terms
+
+    def counted_mu(t, lay):
+        calls["mu_terms"] += 1
+        degrees.extend(sum(ea) + sum(eb) for ea, eb in _kernels_py.unpack_pairs(t, lay))
+        return mu(t, lay)
+
+    def counted_contract(t, entries, lay):
+        calls["contract_terms"] += 1
+        return contract(t, entries, lay)
+
+    monkeypatch.setattr(_kernels_py, "mu_terms", counted_mu)
+    monkeypatch.setattr(_kernels_py, "contract_terms", counted_contract)
     truncated_star(exp_element(Q, 6), exp_element(P, 6), QC(1), DARBOUX, 4)
-    kept = [(k, l, j) for k in range(7) for l in range(7) for j in range(min(k, l) + 1)]
-    assert len(calls) == sum(1 for k, l, j in kept if k + l - 2 * j <= 4)
+    assert degrees and max(degrees) <= 4
+    # one chain per total degree D = k + l over the pairs with |k - l| <= 4:
+    # it contracts max min(k, l) + 1 times and sums the steps j >= (D - 4) / 2
+    # (one call per pair and kept step, 72 and 132 calls, before the buckets)
+    assert calls == {"mu_terms": 29, "contract_terms": 49}
+
+
+def test_truncated_star_of_exp_series_equals_the_oracle():
+    # every order of a product of exp series of order 8 and 14, over real and
+    # complex forms and z; at order 0 or 2 most pairs (k, l) have |k - l| > order
+    # and cannot reach the output
+    rng = random.Random(53)
+    basis = default_basis()
+    for cplx in (False, True):
+        form = random_even_form(rng, basis, complex_parts=cplx)
+        z = random_scalar(rng, complex_parts=cplx) or QC(1)
+        w, w2 = random_degree_one_even(rng, basis), random_degree_one_even(rng, basis)
+        for N in (8, 14):
+            A, B = exp_element(w, N), exp_element(w2, N)
+            full = truncated_star_oracle(A, B, z, form, N)
+            for order in (0, 2, 8, N):
+                C = truncated_star(A, B, z, form, order)
+                assert list(C.components) == full[: order + 1], (cplx, N, order)
+            C = truncated_star(A, B, z, form, 2, budget=3)
+            assert list(C.components) == truncated_star_oracle(A, B, z, form, 2, 3), (cplx, N)
+
+
+def test_float_truncated_star_is_close_to_the_oracle():
+    # the float pairs share the per-degree chains too; their sums run in
+    # another order than the plain sum of products, so only the last bits
+    # move, relative to the component's largest coefficient (a term whose
+    # exact value is 0 is a rounding residue on both routes)
+    rng = random.Random(59)
+    basis = default_basis()
+    form = random_even_form(rng, basis, complex_parts=True)
+    fform = BilinearForm(basis, [[complex(c) for c in row] for row in form.matrix], "float")
+    z = complex(random_scalar(rng, complex_parts=True) or QC(1))
+    w, w2 = random_degree_one_even(rng, basis), random_degree_one_even(rng, basis)
+    A, B = exp_element(_to_float_element(w), 8), exp_element(_to_float_element(w2), 8)
+    for order in (0, 2, 8):
+        C = truncated_star(A, B, z, fform, order)
+        for got, want in zip(C.components, truncated_star_oracle(A, B, z, fform, order), strict=True):
+            scale = max(map(abs, want.terms.values()))
+            for e in set(got.terms) | set(want.terms):
+                assert abs(got.terms.get(e, 0) - want.terms.get(e, 0)) <= 1e-12 * scale, (order, e)
+
+
+def _bits(comps):
+    """Each float coefficient as the hex strings of its real and imaginary parts."""
+    return [{e: (c.real.hex(), c.imag.hex()) for e, c in comp.terms.items()} for comp in comps]
+
+
+def test_series_components_equal_the_plain_loops():
+    # exact components are literally those of power = power * v and one scale,
+    # float components have their bits
+    rng = random.Random(59)
+    basis = default_basis()
+    e1, e2 = (Element.generator(basis, n) for n in ("e1", "e2"))
+    for trial in range(4):
+        cplx = trial % 2 == 1
+        form = random_even_form(rng, basis, complex_parts=cplx)
+        z = random_scalar(rng, complex_parts=cplx) or QC(1)
+        w = random_degree_one_even(rng, basis)
+        if cplx:
+            w = w + Element.generator(basis, "p").scale(QC(0, rng.randint(1, 3)))
+        t = random_rational(rng, span=2) or Fraction(1)
+        fw = _to_float_element(w)
+        fform = BilinearForm(
+            basis, [[complex(c) for c in row] for row in form.matrix], backend="float"
+        )
+        assert list(exp_element(w, 12).components) == exp_series_oracle(w, 12)
+        assert list(f_epsilon_series(w, 2, 10).components) == f_epsilon_series_oracle(w, 2, 10)
+        assert list(star_exp(w, t, z, form, 12).components) == star_exp_loop_oracle(w, t, z, form, 12)
+        assert _bits(exp_element(fw, 30).components) == _bits(exp_series_oracle(fw, 30))
+        assert _bits(f_epsilon_series(w, 0.75, 30).components) == _bits(
+            f_epsilon_series_oracle(w, 0.75, 30)
+        )
+        assert _bits(star_exp(fw, float(t), complex(z), fform, 12).components) == _bits(
+            star_exp_loop_oracle(fw, float(t), complex(z), fform, 12)
+        )
+    odd = e1 + e2.scale(QC(0, 2))  # its square vanishes: the series stops at 1 + odd
+    assert list(exp_element(odd, 5).components) == exp_series_oracle(odd, 5)
+    assert _bits(exp_element(_to_float_element(odd), 5).components) == _bits(
+        exp_series_oracle(_to_float_element(odd), 5)
+    )
+
+
+@pytest.mark.parametrize(
+    "series, oracle, prefix",
+    [
+        (lambda v: exp_element(v, 200), lambda v: exp_series_oracle(v, 200), "exp degree 171:"),
+        (
+            lambda v: f_epsilon_series(v, 0.5, 400),
+            lambda v: f_epsilon_series_oracle(v, 0.5, 400),
+            "f_eps degree 301:",
+        ),
+    ],
+    ids=["exp", "f_eps"],
+)
+def test_float_series_refusals_keep_their_degree_and_message(series, oracle, prefix):
+    # 1/171! and 301!^(-1/2) are the first terms below the normal binary64 range
+    v = Element.generator(B2, "q", "float")
+    with pytest.raises(RefusedPreconditionError) as expected:
+        oracle(v)
+    with pytest.raises(RefusedPreconditionError) as got:
+        series(v)
+    assert str(got.value) == str(expected.value)
+    assert str(got.value).startswith(prefix)
 
 
 OTHER_BASIS_FORM = BilinearForm.from_entries(

@@ -39,6 +39,7 @@ from weylalg import (
     star_hbar,
     translate,
 )
+from weylalg import _kernels_py
 from weylalg.star_algebra import conjugation_is_involution
 from weylalg.bilinear_forms import TensorPair, p_lambda_power
 from weylalg.randoms import (
@@ -71,6 +72,37 @@ def test_star_examples():
         + ONE.scale(z * z * 2)
     )
     assert star(P * P, Q * Q, z, STD) == expected
+
+
+def test_star_contracts_only_the_entries_its_operands_reach(monkeypatch):
+    # q-only times p-only: of a form with every block entry nonzero only
+    # (q, p) can contract, so contract_terms sees no other entry
+    seen = []
+    contract = _kernels_py.contract_terms
+
+    def recorded(t, entries, lay):
+        seen.extend((i, j) for i, j, _ in entries)
+        return contract(t, entries, lay)
+
+    monkeypatch.setattr(_kernels_py, "contract_terms", recorded)
+    lam = QC(3, 1)
+    form = BilinearForm.from_entries(
+        B,
+        {
+            ("q", "q"): 2, ("q", "p"): lam, ("p", "q"): QC(-1, 2), ("p", "p"): 5,
+            ("e1", "e1"): 1, ("e1", "e2"): QC(0, 1), ("e2", "e1"): -4, ("e2", "e2"): 7,
+        },
+    )
+    z = QC(Fraction(1, 2), 1)
+    a, b = Q * Q + Q.scale(3), P * P
+    # sum_k z^k/k! lam^k (d/dq)^k a (d/dp)^k b
+    expected = (
+        a * b
+        + ((Q.scale(2) + ONE.scale(3)) * P.scale(2)).scale(z * lam)
+        + ONE.scale(z * z * lam * lam * QC(Fraction(1, 2)) * 4)
+    )
+    assert star(a, b, z, form) == expected
+    assert seen and set(seen) == {(B.index("q"), B.index("p"))}
 
 
 def test_star_rejects_form_over_other_basis():
