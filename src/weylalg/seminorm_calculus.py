@@ -7,11 +7,12 @@ polynomial is an exactly computable coefficient sum; general seminorms
 would require an infimum over tensor decompositions.
 
 Numeric results are binary64 with a documented relative tolerance of 1e-9
-for equality-style checks.  Inequality checks run in exact rational
+for equality-style checks.  The product and bracket estimates are one
+inequality check (``_estimate_report``).  It runs in exact rational
 arithmetic whenever both sides are rational (rational weights and
-coefficient magnitudes, integer weight exponent R); otherwise they fall
-back to floats.  Verifier grids are embarrassingly parallel and
-deterministic given a seed.
+coefficient magnitudes, integer weight exponent R; ``_takes_exact_path``),
+otherwise in floats, refused where a float side leaves binary64.
+Verifier grids are embarrassingly parallel and deterministic given a seed.
 
 Exact seminorms are integer sums.  With the weights a_i/W over the lcm W
 of their denominators and the coefficients integer numerators over one
@@ -28,6 +29,7 @@ import math
 import random
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from . import scalars
 from .bilinear_forms import BilinearForm
@@ -98,17 +100,6 @@ def _coeff_abs(c, exact: bool):
             )
         return a
     return abs(c)
-
-
-def _rational_magnitudes(values) -> bool:
-    """Is |c| rational for every exact scalar c given (``QC``, int or Fraction)?
-
-    Only a ``QC`` with a nonzero imaginary part needs a square root.
-    """
-    return all(
-        not (isinstance(c, scalars.QC) and c.im) or scalars.abs_exact(c) is not None
-        for c in values
-    )
 
 
 def _degree_sums(a: Element, p: WeightedSeminorm):
@@ -408,14 +399,6 @@ def _dominating_seminorm(form: BilinearForm, p: WeightedSeminorm, exact: bool):
     return p.scaled(Fraction(sigma)), sigma
 
 
-def _exponent_and_two(R: Fraction, exact: bool):
-    """R and 2 as int and Fraction, or as floats; the formulas that use them
-    keep binary64 order of operations, and exact values do not depend on it."""
-    if exact:
-        return R.numerator, Fraction(2)
-    return float(R), 2.0
-
-
 def _series_sum(term, kmax: int = 40) -> float:
     total = 0.0
     for k in range(kmax + 1):
@@ -441,11 +424,55 @@ def _exp_partial_sum(x: Fraction, kmax: int = 40) -> Fraction:
     return Fraction(acc, math.factorial(kmax) * vp)
 
 
-def _require_exact_R_capped(R, exact: bool):
+def _takes_exact_path(exact, R: Fraction, a: Element, b: Element, result: Element,
+                      form: BilinearForm, *magnitudes) -> bool:
+    """The path of an estimate: with ``exact=None`` the exact one where it can
+    answer, that is R an integer, exact coefficients and every magnitude the
+    check uses rational (|c| of the form entries, of the coefficients of a,
+    b and the result, and of ``magnitudes``).  An exact R past the cap is refused.
+    """
+    if exact is None:
+        values = chain(magnitudes, (c for _, _, c in form._entries),
+                       *(x.terms.values() for x in (a, b, result)))
+        exact = R.denominator == 1 and a.backend == "exact" and all(
+            not (isinstance(c, scalars.QC) and c.im) or scalars.abs_exact(c) is not None
+            for c in values
+        )
     if exact and R > EXACT_ESTIMATE_MAX_R:
         raise RefusedPreconditionError(
             f"exact estimates are limited to R <= {EXACT_ESTIMATE_MAX_R}"
         )
+    return exact
+
+
+def _estimate_report(a: Element, b: Element, result: Element, form: BilinearForm,
+                     p: WeightedSeminorm, R: Fraction, exact: bool, constants,
+                     witness: dict) -> EstimateReport:
+    """Check p_R(result) <= c' (c p_dom)_R(a) (c p_dom)_R(b), p_dom dominating the form.
+
+    ``constants(r, two)`` names c and, unless it is 1, c'; it gets R and 2
+    as int and Fraction, or as floats, keeping binary64 order of operations
+    on the float path.  Float values beyond binary64 are refused.
+    """
+    try:
+        pd, sigma = _dominating_seminorm(form, p, exact)
+        named = constants(R.numerator, Fraction(2)) if exact else constants(float(R), 2.0)
+        lhs = p_R(result, pd, R, exact)
+        cp = pd.scaled(named["c"])
+        rhs = named.get("c_prime", 1) * p_R(a, cp, R, exact) * p_R(b, cp, R, exact)
+        in_range = exact or math.isfinite(lhs) and math.isfinite(rhs)
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise RefusedPreconditionError("an estimate's side or constant exceeds binary64")
+    holds = lhs <= rhs if exact else lhs <= rhs * (1 + REL_TOL)
+    return EstimateReport(
+        lhs,
+        rhs,
+        {**named, "sigma": sigma, "R": R},
+        bool(holds),
+        {**witness, "deg_a": a.max_degree(), "deg_b": b.max_degree()},
+    )
 
 
 def verify_product_estimate(
@@ -457,12 +484,7 @@ def verify_product_estimate(
     c = max(2|z|, 2, 2^R); c' is the convergent k-series of the matching
     proof branch, evaluated as a partial sum (a lower bound, which only
     strengthens the check).  Requires R >= 1/2; the estimate is not
-    claimed below that.
-
-    With ``exact=None`` the exact path is taken where it can answer: R an
-    integer, exact coefficients, and every magnitude it uses rational
-    (|z|, the form entries and the coefficients of a, b and a * b).
-    Otherwise the float path answers.
+    claimed below that.  |z| is among the magnitudes that choose the path.
     """
     R = Fraction(R)
     if R < Fraction(1, 2):
@@ -471,51 +493,27 @@ def verify_product_estimate(
         raise DomainError("exact product estimate needs an integer R")
     z = scalars.coerce(a.backend, z)
     prod = star(a, b, z, form)
-    if exact is None:
-        exact = (
-            R.denominator == 1
-            and a.backend == "exact"
-            and _rational_magnitudes([z, *(c for _, _, c in form._entries)])
-            and all(_rational_magnitudes(x.terms.values()) for x in (a, b, prod))
-        )
-    _require_exact_R_capped(R, exact)
+    exact = _takes_exact_path(exact, R, a, b, prod, form, z)
     zmag = _coeff_abs(z, exact)
-    pd, sigma = _dominating_seminorm(form, p, exact)
-    lhs = p_R(prod, pd, R, exact)
 
-    r, two = _exponent_and_two(R, exact)
-    c = max(2 * zmag, two, two**r)
-    if R <= 1 and zmag >= 1:
-        branch = "R<=1,|z|>=1"
+    def constants(r, two):
+        fact = math.factorial
+        if R > 1:
+            branch, term = "R>1", lambda k: zmag**k * two ** (-2 * r * k) / fact(k)
+        elif zmag < 1:
+            branch, term = "R<=1,|z|<1", lambda k: (
+                zmag**k * two ** (-2 * r * k) / fact(k) ** (2 * r - 1)
+            )
+        else:
+            branch, term = "R<=1,|z|>=1", lambda k: (
+                1 / (zmag**k * fact(k) ** (2 * r - 1) * two ** (2 * r * k))
+            )
+        # An exact R is an integer >= 1, so r = 1 in the R <= 1 branches, and
+        # in every branch the k-th term is x^k/k! with x = term(1)
+        c_prime = _exp_partial_sum(term(1)) if exact else _series_sum(term)
+        return {"c": max(2 * zmag, two, two**r), "c_prime": c_prime, "branch": branch}
 
-        def term(k):
-            return 1 / (zmag**k * math.factorial(k) ** (2 * r - 1) * two ** (2 * r * k))
-
-    elif R <= 1:
-        branch = "R<=1,|z|<1"
-
-        def term(k):
-            return zmag**k * two ** (-2 * r * k) / math.factorial(k) ** (2 * r - 1)
-
-    else:
-        branch = "R>1"
-
-        def term(k):
-            return zmag**k * two ** (-2 * r * k) / math.factorial(k)
-
-    # An exact R is an integer >= 1, so r = 1 in the R <= 1 branches, and
-    # in every branch the k-th term is x^k/k! with x = term(1)
-    c_prime = _exp_partial_sum(term(1)) if exact else _series_sum(term)
-    cp = pd.scaled(c)
-    rhs = c_prime * p_R(a, cp, R, exact) * p_R(b, cp, R, exact)
-    holds = lhs <= rhs if exact else lhs <= rhs * (1 + REL_TOL)
-    return EstimateReport(
-        lhs,
-        rhs,
-        {"c": c, "c_prime": c_prime, "branch": branch, "sigma": sigma, "R": R},
-        bool(holds),
-        {"z": repr(z), "deg_a": a.max_degree(), "deg_b": b.max_degree()},
-    )
+    return _estimate_report(a, b, prod, form, p, R, exact, constants, {"z": repr(z)})
 
 
 def verify_bracket_estimate(
@@ -526,26 +524,11 @@ def verify_bracket_estimate(
     R = Fraction(R)
     if R < 0:
         raise DomainError("the bracket estimate requires R >= 0")
-    if exact is None:
-        exact = R.denominator == 1 and a.backend == "exact"
     if exact and R.denominator != 1:
         raise DomainError("exact bracket estimate needs an integer R")
-    _require_exact_R_capped(R, exact)
-    pd, sigma = _dominating_seminorm(form, p, exact)
     br = poisson_bracket(a, b, form)
-    lhs = p_R(br, pd, R, exact)
-    r, two = _exponent_and_two(R, exact)
-    c = two ** (r + 1)
-    cp = pd.scaled(c)
-    rhs = p_R(a, cp, R, exact) * p_R(b, cp, R, exact)
-    holds = lhs <= rhs if exact else lhs <= rhs * (1 + REL_TOL)
-    return EstimateReport(
-        lhs,
-        rhs,
-        {"c": c, "sigma": sigma, "R": R},
-        bool(holds),
-        {"deg_a": a.max_degree(), "deg_b": b.max_degree()},
-    )
+    exact = _takes_exact_path(exact, R, a, b, br, form)
+    return _estimate_report(a, b, br, form, p, R, exact, lambda r, two: {"c": two ** (r + 1)}, {})
 
 
 # -- Koethe matrices and summability -------------------------------------

@@ -467,10 +467,12 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
 
     So each order is ad_w of the last over r: two products with the
     degree-one w, which raise no exponent past v's largest plus one, on
-    integer numerators over one layout, summed over one denominator.  On
-    the float backend this association differs from the plain expansion's,
-    so values can differ from it in the last bits (the literal check can
-    fail there from rounding).
+    integer numerators over one layout, summed over one denominator.  The
+    first order that vanishes leaves every later one zero (ad_w(0) = 0), so
+    no product is taken from there on.  On the float backend this
+    association differs from the plain expansion's, so values can differ
+    from it in the last bits (the literal check can fail there from
+    rounding).
     """
     _require_degree_one(w)
     if w.parity() != 0:
@@ -492,7 +494,7 @@ def inner_translation_check(w: Element, v: Element, z, form: BilinearForm, order
     degree0_partials = []
     cur = _parts(backend, K.pack(v.terms, lay))
     for r in range(order + 1):
-        if r:
+        if r and any(cur[1]):
             left = _star_parts(backend, wp, cur, lam, z, lay)
             right = _star_parts(backend, cur, wp, lam, z, lay)
             cur = _sum_parts(backend, [(Fraction(1, r), left), (Fraction(-1, r), right)])

@@ -25,90 +25,78 @@ from .star_algebra import (
 )
 
 
-def run_associativity(seed: int, trials: int):
+def _run(suite: str, seed: int, trials: int, trial):
+    """Count the trials, each ``trial(rng, basis)`` on one RNG seeded once,
+    that return False."""
     rng = random.Random(seed)
     basis = randoms.default_basis()
-    failures = 0
-    for _ in range(trials):
+    failures = sum(not trial(rng, basis) for _ in range(trials))
+    return {"suite": suite, "trials": trials, "failures": failures}
+
+
+def run_associativity(seed: int, trials: int):
+    def trial(rng, basis):
         form = randoms.random_even_form(rng, basis)
         z = randoms.random_scalar(rng)
-        a = randoms.random_element(rng, basis, max_degree=4, n_terms=3)
-        b = randoms.random_element(rng, basis, max_degree=4, n_terms=3)
-        c = randoms.random_element(rng, basis, max_degree=4, n_terms=3)
-        if star(star(a, b, z, form), c, z, form) != star(a, star(b, c, z, form), z, form):
-            failures += 1
-    return {"suite": "associativity", "trials": trials, "failures": failures}
+        a, b, c = (randoms.random_element(rng, basis, max_degree=4, n_terms=3) for _ in range(3))
+        return star(star(a, b, z, form), c, z, form) == star(a, star(b, c, z, form), z, form)
+
+    return _run("associativity", seed, trials, trial)
 
 
 def run_equivalence(seed: int, trials: int):
-    rng = random.Random(seed)
-    basis = randoms.default_basis()
-    failures = 0
-    for _ in range(trials):
+    def trial(rng, basis):
         lam = randoms.random_even_form(rng, basis)
         g = randoms.random_graded_symmetric_form(rng, basis)
-        lam2 = lam + g
         z = randoms.random_scalar(rng)
         a = randoms.random_element(rng, basis, max_degree=4, n_terms=3)
         b = randoms.random_element(rng, basis, max_degree=4, n_terms=3)
         lhs = equivalence_transform(star(a, b, z, lam), z, g)
-        rhs = star(
-            equivalence_transform(a, z, g),
-            equivalence_transform(b, z, g),
-            z,
-            lam2,
-        )
-        if lhs != rhs:
-            failures += 1
-    return {"suite": "equivalence", "trials": trials, "failures": failures}
+        ta, tb = equivalence_transform(a, z, g), equivalence_transform(b, z, g)
+        return lhs == star(ta, tb, z, lam + g)
+
+    return _run("equivalence", seed, trials, trial)
 
 
-def run_product_estimate(seed: int, trials: int, R=1, zmag=1, collect=None):
-    R = Fraction(R)
-    rng = random.Random(seed)
-    basis = randoms.default_basis()
-    failures = 0
-    worst = None
-    for _ in range(trials):
+def _run_estimate(suite: str, seed: int, trials: int, estimate, collect, worst=False):
+    """Run ``estimate(a, b, form, p)`` on seeded operands and seminorms.
+
+    Each report also goes to ``collect``; with ``worst`` the summary keeps
+    the last failing one.
+    """
+    reports = []
+
+    def trial(rng, basis):
         form = randoms.random_even_form(rng, basis)
         a = randoms.random_element(rng, basis, max_degree=4, n_terms=3)
         b = randoms.random_element(rng, basis, max_degree=4, n_terms=3)
-        weights = {
-            name: Fraction(rng.randint(1, 4), rng.randint(1, 2))
-            for name in basis.names
-        }
-        p = WeightedSeminorm(basis, weights)
-        report = verify_product_estimate(a, b, Fraction(zmag), form, R, p)
-        if collect is not None:
-            collect.append(report)
-        if not report.holds:
-            failures += 1
-            worst = report.to_dict()
-    out = {"suite": "product-estimate", "trials": trials, "failures": failures}
-    if worst:
-        out["worst"] = worst
+        weights = {name: Fraction(rng.randint(1, 4), rng.randint(1, 2)) for name in basis.names}
+        reports.append(estimate(a, b, form, WeightedSeminorm(basis, weights)))
+        return reports[-1].holds
+
+    out = _run(suite, seed, trials, trial)
+    failing = [rep for rep in reports if not rep.holds]
+    if worst and failing:
+        out["worst"] = failing[-1].to_dict()
+    if collect is not None:
+        collect.extend(reports)
     return out
+
+
+def run_product_estimate(seed: int, trials: int, R=1, zmag=1, collect=None):
+    R, z = Fraction(R), Fraction(zmag)
+    return _run_estimate(
+        "product-estimate", seed, trials,
+        lambda a, b, form, p: verify_product_estimate(a, b, z, form, R, p), collect, worst=True,
+    )
 
 
 def run_bracket_estimate(seed: int, trials: int, R=1, collect=None):
     R = Fraction(R)
-    rng = random.Random(seed)
-    basis = randoms.default_basis()
-    failures = 0
-    for _ in range(trials):
-        form = randoms.random_even_form(rng, basis)
-        a = randoms.random_element(rng, basis, max_degree=4, n_terms=3)
-        b = randoms.random_element(rng, basis, max_degree=4, n_terms=3)
-        p = WeightedSeminorm(
-            basis,
-            {name: Fraction(rng.randint(1, 4), rng.randint(1, 2)) for name in basis.names},
-        )
-        report = verify_bracket_estimate(a, b, form, R, p)
-        if collect is not None:
-            collect.append(report)
-        if not report.holds:
-            failures += 1
-    return {"suite": "bracket-estimate", "trials": trials, "failures": failures}
+    return _run_estimate(
+        "bracket-estimate", seed, trials,
+        lambda a, b, form, p: verify_bracket_estimate(a, b, form, R, p), collect,
+    )
 
 
 def run_involution(seed: int, trials: int, hbar=1):
@@ -119,8 +107,7 @@ def run_involution(seed: int, trials: int, hbar=1):
     """
     rng = random.Random(seed)
     basis = randoms.default_basis()
-    disagreements = 0
-    findings = []
+    disagreements = criterion_failures = 0
     for k in range(trials):
         form = randoms.random_involutive_form(rng, basis, holds=(k % 2 == 0))
         verdict = check_star_involution(form, hbar)
@@ -144,13 +131,12 @@ def run_involution(seed: int, trials: int, hbar=1):
                     break
         if verdict["holds"] != brute:
             disagreements += 1
-        if not verdict["holds"]:
-            findings.append(verdict["violations"][:3])
+        criterion_failures += not verdict["holds"]
     return {
         "suite": "involution",
         "trials": trials,
         "failures": disagreements,
-        "criterion_failures": len(findings),
+        "criterion_failures": criterion_failures,
     }
 
 

@@ -410,7 +410,9 @@ CONV_FEPS_DOC = {"series": {"kind": "f_eps", "N": 30, "eps": 0.25}, "R_grid": [0
 # sha256 of stdout + b"|" + stderr + b"|" + exit code of the other
 # subcommands, in every format they have, and of one failure per exit code
 # 2-4 (exit 1 is test_check_failure_output_is_byte_stable), recorded before
-# the series products moved onto packed numerator chains.
+# the series products moved onto packed numerator chains; the two float-path
+# product estimates and the R = 101/2 bracket rows were recorded before both
+# estimates shared one check.
 CLI_DIGESTS = [
     (["star"], STAR_DOC,
      "692922bc6f2afdb553cfa72d8065695674977d9cb7c2d474bddcbd0de45e81ec"),
@@ -428,10 +430,17 @@ CLI_DIGESTS = [
      "bca2de2b773891ccf1bfeb24290c50b6ba686c7c96543d7037af3aafed617782"),
     (["verify", "product-estimate", "--trials", "3", "--R", "2", "--format", "csv"], None,
      "f773a04ba5f681e766a662f9456e7fcab8185ee371e6c122d30bd0bcef43a4d7"),
+    (["verify", "product-estimate", "--R", "3/2", "--trials", "3", "--format", "csv"], None,
+     "f7f2ebc40632ec6cdf39e72815d6bbcf1e4d8a6d560b05b31f7b57f7f5177d97"),
+    (["verify", "product-estimate", "--R", "1/2", "--zmag", "3", "--trials", "3"], None,
+     "5cd188da833d1e109b805d886078ef75c8cea71c514889a35630c9a94a0cae5f"),
     (["verify", "bracket-estimate", "--seed", "3", "--trials", "3"], None,
      "f2dc58e64526e3843b8729a1e367ba63e5e7026c3ca8e22c3ef44e93fb8ba762"),
     (["verify", "bracket-estimate", "--trials", "3", "--R", "3/2", "--format", "csv"], None,
      "ad3b26a29cb404fca0fa7e767eae1c280358aff35a321b9e518ecbd7f60e6d7c"),
+    # row 11 has lhs 0 and slack inf: a zero side is in binary64's range
+    (["verify", "bracket-estimate", "--R", "101/2", "--trials", "12", "--format", "csv"], None,
+     "7924c5ecc5e22654a6d0b9e2974db6fc8d192cc387504967b553931c27f11a50"),
     (["kothe", "--n-max", "12"], None,
      "381eafc7539c91a0d5838899b6d048b45ab7da95667584abfc1ee8623d17b6a3"),
     (["kothe", "--n-max", "12", "--mode", "nuclear", "--R", "3/2", "--eps", "1/4"], None,
@@ -619,6 +628,14 @@ def test_float_overflow_uses_log_space(capsys, monkeypatch):
             dict(STAR_DOC, a={"terms": [{"even": {"p": 5}}]}, b={"terms": [{"even": {"q": 5}}]},
                  z="1e-1000"),
         ),
+        # float-path estimates: an inf side, a Fraction weight or 2^R past
+        # binary64, and |z|^k inside c'
+        (["verify", "product-estimate", "--R", "161/2", "--trials", "20", "--format", "csv"], None),
+        (["verify", "product-estimate", "--R", "509/2", "--trials", "5"], None),
+        (["verify", "bracket-estimate", "--R", "507/2", "--trials", "5"], None),
+        (["verify", "product-estimate", "--R", "2049/2"], None),
+        (["verify", "bracket-estimate", "--R", "2049/2"], None),
+        (["verify", "product-estimate", "--R", "3/2", "--zmag", "1e200", "--trials", "2"], None),
     ],
     ids=[
         "exp-coefficient-subnormal",
@@ -633,6 +650,12 @@ def test_float_overflow_uses_log_space(capsys, monkeypatch):
         "kothe-exact-entry-past-int-str-limit-csv",
         "kothe-exact-entry-past-int-str-limit-json",
         "star-coefficient-past-int-str-limit",
+        "product-estimate-side-inf-csv",
+        "product-estimate-weight-past-binary64",
+        "bracket-estimate-weight-past-binary64",
+        "product-estimate-2^R-past-binary64",
+        "bracket-estimate-2^(R+1)-past-binary64",
+        "product-estimate-c-prime-past-binary64",
     ],
 )
 def test_values_beyond_binary64_are_refused(args, doc, capsys, monkeypatch):

@@ -312,6 +312,34 @@ def test_product_estimate_takes_the_exact_path_only_where_it_can_answer():
     assert isinstance(verify_product_estimate(a, a, QC(3, 4), DARBOUX, 1, UNIT).lhs, Fraction)
 
 
+ESTIMATES = {
+    "product": lambda a, b, form, exact=None: verify_product_estimate(a, b, 1, form, 1, UNIT, exact),
+    "bracket": lambda a, b, form, exact=None: verify_bracket_estimate(a, b, form, 1, UNIT, exact),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ESTIMATES))
+def test_estimates_on_complex_operands_take_the_exact_path_only_where_it_can_answer(name):
+    # both estimates follow one rule: most complex coefficients have an
+    # irrational modulus, so the default answers on the float path, and
+    # (3 + 4i) q has modulus 5, so its estimate stays exact
+    estimate = ESTIMATES[name]
+    rep = estimate(Q.scale(QC(1, 1)), P * P, DARBOUX)
+    assert rep.holds and isinstance(rep.lhs, float)
+    rep = estimate(Q.scale(QC(3, 4)), P * P, DARBOUX)
+    assert rep.holds and isinstance(rep.lhs, Fraction)
+    rng = random.Random(5)
+    for _ in range(20):
+        a = random_element(rng, B, max_degree=3, n_terms=3, complex_parts=True)
+        b = random_element(rng, B, max_degree=3, n_terms=3, complex_parts=True)
+        form = random_even_form(rng, B)
+        rep = estimate(a, b, form)
+        assert rep.holds
+        if isinstance(rep.lhs, float):
+            with pytest.raises(DomainError, match="irrational"):
+                estimate(a, b, form, exact=True)
+
+
 def test_product_estimate_c_prime_is_the_41_term_sum():
     branches = set()
     for zmag in (Fraction(1, 3), Fraction(1), Fraction(3, 2), Fraction(7)):

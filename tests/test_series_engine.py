@@ -398,7 +398,8 @@ def test_inner_translation_matches_translate():
 
 
 def test_inner_translation_takes_two_commutator_products_per_order(monkeypatch):
-    # order r is [w, order r - 1] / r: w * cur, then cur * w, for r = 1..10
+    # order r is [w, order r - 1] / r: w * cur, then cur * w, up to the first
+    # order that vanishes; [w, P] is a scalar, so that is order 2 of 10
     calls = []
 
     def counted(backend, x, y, lam, z, lay):
@@ -408,11 +409,18 @@ def test_inner_translation_takes_two_commutator_products_per_order(monkeypatch):
     monkeypatch.setattr(series_engine, "_star_parts", counted)
     w = Q + P.scale(2)
     res = inner_translation_check(w, P, QC(Fraction(1, 3)), DARBOUX, 10)
-    assert len(calls) == 2 * 10
+    assert len(calls) == 2 * 2
     wp = scalars.numerators(_kernels_py.pack(w.terms, calls[0][2]))
     assert all(x == wp for x, _, _ in calls[0::2])
     assert all(y == wp for _, y, _ in calls[1::2])
     assert all(res["per_degree_match"])
+    assert len(res["orders"]) == 11 and res["orders"][1] and not any(res["orders"][2:])
+    # a scalar v commutes with w: order 1 vanishes, and a zero v takes no product
+    for v, products in ((Element.one(B2).scale(QC(5)), 2), (Element.zero(B2), 0)):
+        calls.clear()
+        res = inner_translation_check(w, v, QC(2, 1), DARBOUX, 10)
+        assert len(calls) == products and not any(res["orders"][1:])
+        assert all(res["per_degree_match"])
 
 
 def test_conjugation_orders_are_nested_commutators():
