@@ -298,47 +298,154 @@ def test_cmd_peierls_csv(capsys, monkeypatch):
     assert out.splitlines()[0] == "i,j,value"
 
 
-# sha256 of stdout + b"|" + exit code of the peierls commands that print
-# kernel values: every scenario, format and mass at 12x8, and the cone
-# pictures at 16x12.  A change to the lattice code leaves these bytes as
-# they are.
+# sha256 of stdout + b"|" + exit code of every peierls scenario, in both
+# formats, with m2 0, 1/3 and 5/2, on 12x8, 16x12 and 9x5 windows.  A
+# change to the lattice code leaves these bytes as they are.
 PEIERLS_DIGESTS = {
     "locality --T 12 --N 8 --m2 0 --format json":
         "fa57b01fe7ccfcc3fa16f795c1300c5b4f6539768fbc3200d9ffad958c6efcc0",
     "locality --T 12 --N 8 --m2 1/3 --format json":
         "fa57b01fe7ccfcc3fa16f795c1300c5b4f6539768fbc3200d9ffad958c6efcc0",
+    "locality --T 12 --N 8 --m2 5/2 --format json":
+        "fa57b01fe7ccfcc3fa16f795c1300c5b4f6539768fbc3200d9ffad958c6efcc0",
     "locality --T 12 --N 8 --m2 0 --format csv":
         "2f39d7af371be8be686557fab638133ceb810771023a072c79404eb69d8bd631",
     "locality --T 12 --N 8 --m2 1/3 --format csv":
         "c9a474ed3eba0b88d2652db2dba449dcb3eafcd1152c06043128f2c3c6b5e4a7",
+    "locality --T 12 --N 8 --m2 5/2 --format csv":
+        "9b4e84ec2c0765be7625b417551f99a0a0d1b40b3efb6ba3d64db59f75aae7a3",
     "poisson-iso --T 12 --N 8 --m2 0 --format json":
         "2cc3902a9dfcab419e2edf8d640f7e9bdead3e7e6c0ab86dff523e6ab21004dc",
     "poisson-iso --T 12 --N 8 --m2 1/3 --format json":
+        "2cc3902a9dfcab419e2edf8d640f7e9bdead3e7e6c0ab86dff523e6ab21004dc",
+    "poisson-iso --T 12 --N 8 --m2 5/2 --format json":
         "2cc3902a9dfcab419e2edf8d640f7e9bdead3e7e6c0ab86dff523e6ab21004dc",
     "poisson-iso --T 12 --N 8 --m2 0 --format csv":
         "100b41456d90cc6b79346b02c1654f7bec673d550ff2320df0aa6dd8227450db",
     "poisson-iso --T 12 --N 8 --m2 1/3 --format csv":
         "100b41456d90cc6b79346b02c1654f7bec673d550ff2320df0aa6dd8227450db",
+    "poisson-iso --T 12 --N 8 --m2 5/2 --format csv":
+        "100b41456d90cc6b79346b02c1654f7bec673d550ff2320df0aa6dd8227450db",
     "timeslice --T 12 --N 8 --m2 0 --format json":
         "c0545b2b5fa8ff4d71fa8f10232ca663815a91d4e6adde5be4de8df1d9635083",
     "timeslice --T 12 --N 8 --m2 1/3 --format json":
+        "c0545b2b5fa8ff4d71fa8f10232ca663815a91d4e6adde5be4de8df1d9635083",
+    "timeslice --T 12 --N 8 --m2 5/2 --format json":
         "c0545b2b5fa8ff4d71fa8f10232ca663815a91d4e6adde5be4de8df1d9635083",
     "timeslice --T 12 --N 8 --m2 0 --format csv":
         "5424ea592072a86adb9b05d7a57e5d8679072fe9a697bd07f9c01e2c69f7c089",
     "timeslice --T 12 --N 8 --m2 1/3 --format csv":
         "5424ea592072a86adb9b05d7a57e5d8679072fe9a697bd07f9c01e2c69f7c089",
+    "timeslice --T 12 --N 8 --m2 5/2 --format csv":
+        "5424ea592072a86adb9b05d7a57e5d8679072fe9a697bd07f9c01e2c69f7c089",
     "weyl-gram --T 12 --N 8 --m2 0 --format json":
         "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
     "weyl-gram --T 12 --N 8 --m2 1/3 --format json":
+        "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
+    "weyl-gram --T 12 --N 8 --m2 5/2 --format json":
         "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
     "weyl-gram --T 12 --N 8 --m2 0 --format csv":
         "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
     "weyl-gram --T 12 --N 8 --m2 1/3 --format csv":
         "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
+    "weyl-gram --T 12 --N 8 --m2 5/2 --format csv":
+        "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
+    "locality --T 16 --N 12 --m2 0 --format json":
+        "be0ba9ec94f923ef6839a82925dd5e2fd1738396618043ba475d863e82ebb413",
+    "locality --T 16 --N 12 --m2 1/3 --format json":
+        "be0ba9ec94f923ef6839a82925dd5e2fd1738396618043ba475d863e82ebb413",
+    "locality --T 16 --N 12 --m2 5/2 --format json":
+        "be0ba9ec94f923ef6839a82925dd5e2fd1738396618043ba475d863e82ebb413",
     "locality --T 16 --N 12 --m2 0 --format csv":
         "f10892a5e059111d8c6cf6c7addaea81ac38b90ec9e8b79938fe2cde1f10e601",
     "locality --T 16 --N 12 --m2 1/3 --format csv":
         "33a4d019425ceb6dcb93f7cae3a4764079433ac33d57a9e43dc9f786f66b5f37",
+    "locality --T 16 --N 12 --m2 5/2 --format csv":
+        "e12a127da51bb797e47fa005e08c4d7bc95cabd25067331c6428ac907c8845ba",
+    "poisson-iso --T 16 --N 12 --m2 0 --format json":
+        "1b532eaea3516d840a25ea7c60c28ee77cfcf13bc6e21d4c36bbaa4dd1e08138",
+    "poisson-iso --T 16 --N 12 --m2 1/3 --format json":
+        "1b532eaea3516d840a25ea7c60c28ee77cfcf13bc6e21d4c36bbaa4dd1e08138",
+    "poisson-iso --T 16 --N 12 --m2 5/2 --format json":
+        "1b532eaea3516d840a25ea7c60c28ee77cfcf13bc6e21d4c36bbaa4dd1e08138",
+    "poisson-iso --T 16 --N 12 --m2 0 --format csv":
+        "f8ac504b081354266d70458a5d87a6731a2152ad5fc84a50c4948a79ede9d55a",
+    "poisson-iso --T 16 --N 12 --m2 1/3 --format csv":
+        "f8ac504b081354266d70458a5d87a6731a2152ad5fc84a50c4948a79ede9d55a",
+    "poisson-iso --T 16 --N 12 --m2 5/2 --format csv":
+        "f8ac504b081354266d70458a5d87a6731a2152ad5fc84a50c4948a79ede9d55a",
+    "timeslice --T 16 --N 12 --m2 0 --format json":
+        "e6cec166ee3b9617515a801a8cc2ed2da68d430c1d5de14795c9f252632ce1a9",
+    "timeslice --T 16 --N 12 --m2 1/3 --format json":
+        "e6cec166ee3b9617515a801a8cc2ed2da68d430c1d5de14795c9f252632ce1a9",
+    "timeslice --T 16 --N 12 --m2 5/2 --format json":
+        "e6cec166ee3b9617515a801a8cc2ed2da68d430c1d5de14795c9f252632ce1a9",
+    "timeslice --T 16 --N 12 --m2 0 --format csv":
+        "31f88222df4ba08414328772fa7417374b081254f42cc613244642341bf25724",
+    "timeslice --T 16 --N 12 --m2 1/3 --format csv":
+        "31f88222df4ba08414328772fa7417374b081254f42cc613244642341bf25724",
+    "timeslice --T 16 --N 12 --m2 5/2 --format csv":
+        "31f88222df4ba08414328772fa7417374b081254f42cc613244642341bf25724",
+    "weyl-gram --T 16 --N 12 --m2 0 --format json":
+        "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
+    "weyl-gram --T 16 --N 12 --m2 1/3 --format json":
+        "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
+    "weyl-gram --T 16 --N 12 --m2 5/2 --format json":
+        "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
+    "weyl-gram --T 16 --N 12 --m2 0 --format csv":
+        "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
+    "weyl-gram --T 16 --N 12 --m2 1/3 --format csv":
+        "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
+    "weyl-gram --T 16 --N 12 --m2 5/2 --format csv":
+        "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
+    "locality --T 9 --N 5 --m2 0 --format json":
+        "bd4596b6f8c240f5ee7b53c430150fdb71f44b014c828719f65371f0e410b54b",
+    "locality --T 9 --N 5 --m2 1/3 --format json":
+        "bd4596b6f8c240f5ee7b53c430150fdb71f44b014c828719f65371f0e410b54b",
+    "locality --T 9 --N 5 --m2 5/2 --format json":
+        "bd4596b6f8c240f5ee7b53c430150fdb71f44b014c828719f65371f0e410b54b",
+    "locality --T 9 --N 5 --m2 0 --format csv":
+        "e6222cbdbe052459fdf80047dc6a415139b98c96fc168626dad77c5de846bbe6",
+    "locality --T 9 --N 5 --m2 1/3 --format csv":
+        "673ccb1a9d484b378001465d6c5f3f2ef13b13152c4445f1e3261a395cf1f27f",
+    "locality --T 9 --N 5 --m2 5/2 --format csv":
+        "7ca6c3cd963e26e3b085694d63dd88a953265b4353b79c0e4259e8fd836ac5b3",
+    "poisson-iso --T 9 --N 5 --m2 0 --format json":
+        "ec2ed01d444738ab36bc8f0e4d98475f91dde1c3db615038a8d54c89687cf110",
+    "poisson-iso --T 9 --N 5 --m2 1/3 --format json":
+        "ec2ed01d444738ab36bc8f0e4d98475f91dde1c3db615038a8d54c89687cf110",
+    "poisson-iso --T 9 --N 5 --m2 5/2 --format json":
+        "ec2ed01d444738ab36bc8f0e4d98475f91dde1c3db615038a8d54c89687cf110",
+    "poisson-iso --T 9 --N 5 --m2 0 --format csv":
+        "f0c1d611163c44d49c521e41b7c7be09032e2e07bb5595dcf07b2788a9daae8d",
+    "poisson-iso --T 9 --N 5 --m2 1/3 --format csv":
+        "f0c1d611163c44d49c521e41b7c7be09032e2e07bb5595dcf07b2788a9daae8d",
+    "poisson-iso --T 9 --N 5 --m2 5/2 --format csv":
+        "f0c1d611163c44d49c521e41b7c7be09032e2e07bb5595dcf07b2788a9daae8d",
+    "timeslice --T 9 --N 5 --m2 0 --format json":
+        "cf1918e7f9715cf12b8db422deaf4f9618df8f4c8837cd58f3eca6ed16a0caf1",
+    "timeslice --T 9 --N 5 --m2 1/3 --format json":
+        "cf1918e7f9715cf12b8db422deaf4f9618df8f4c8837cd58f3eca6ed16a0caf1",
+    "timeslice --T 9 --N 5 --m2 5/2 --format json":
+        "cf1918e7f9715cf12b8db422deaf4f9618df8f4c8837cd58f3eca6ed16a0caf1",
+    "timeslice --T 9 --N 5 --m2 0 --format csv":
+        "01356e66433ec10f9c5d16c23ad86126516aaed796f2a101b2160518db194560",
+    "timeslice --T 9 --N 5 --m2 1/3 --format csv":
+        "01356e66433ec10f9c5d16c23ad86126516aaed796f2a101b2160518db194560",
+    "timeslice --T 9 --N 5 --m2 5/2 --format csv":
+        "01356e66433ec10f9c5d16c23ad86126516aaed796f2a101b2160518db194560",
+    "weyl-gram --T 9 --N 5 --m2 0 --format json":
+        "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
+    "weyl-gram --T 9 --N 5 --m2 1/3 --format json":
+        "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
+    "weyl-gram --T 9 --N 5 --m2 5/2 --format json":
+        "b5d6c5db0758f17575b283ef87502d4e89b9454ada8d98ecc287fd5e8cf316a5",
+    "weyl-gram --T 9 --N 5 --m2 0 --format csv":
+        "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
+    "weyl-gram --T 9 --N 5 --m2 1/3 --format csv":
+        "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
+    "weyl-gram --T 9 --N 5 --m2 5/2 --format csv":
+        "e4e433e6ae6b114ba205c6cc65390a3d160ed5cf18ac6efec14215a2b18e4530",
 }
 
 
