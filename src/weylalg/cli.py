@@ -76,8 +76,16 @@ def main(argv=None) -> int:
         return EXIT_DOMAIN
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with a usage error as one ``input error:`` line and exit 2;
+    its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.exit(EXIT_INPUT, f"input error: {message}\n")
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(prog="weylalg")
+    parser = _Parser(prog="weylalg")
     sub = parser.add_subparsers(required=True)
 
     p_star = sub.add_parser("star", help="compute a star product from JSON input")

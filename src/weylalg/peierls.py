@@ -14,9 +14,9 @@ The overall sign of the canonical two-slice pairing is fixed once so that
 restriction to any slice pair is a Poisson morphism onto the covariant
 pairing (see ``SIGMA_SIGN``).
 
-Sums with many terms run on integer numerators over one denominator
-(``scalars.numerators``); the counting pairing, whose two supports share
-few sites, sums plain ``Fraction``s.  The integer sums are three:
+Sums run on integer numerators over one denominator
+(``scalars.numerators``), and a ``Fraction`` is built only for a value
+that is read.  The integer sums are three:
 
 - Sparse kernel rows, one Green kernel per spacetime.  The wave operator
   commutes with the periodic space shifts and, inside the window, with
@@ -27,11 +27,11 @@ few sites, sums plain ``Fraction``s.  The integer sums are three:
   only their nonzero entries.  Every Green operator, the propagator and
   the two-slice restriction are sums of shifted kernel rows, shifted and
   summed in one place, ``_kernel_rows``.
-- Integer Wronskians.  Each ``CauchyPair`` keeps its slices as integer
-  numerators over one positive denominator, so ``lambda_sigma`` is one
-  integer dot product and one division.  ``rho_sigma`` hands its kernel
-  rows over as they are; ``u0`` and ``u1`` build their ``Fraction``s
-  only when read.
+- Integer pairings.  Each ``LatticeSection`` and each ``CauchyPair``
+  keeps integer numerators over one positive denominator, so ``pairing``
+  and ``lambda_sigma`` are one integer dot product and one division.  The
+  Green operators and ``rho_sigma`` hand their kernel rows over as they
+  are; ``values``, ``u0`` and ``u1`` build their ``Fraction``s when read.
 - Fraction-free elimination rows.  ``exact_rank`` and ``_solve_exact`` share
   one Jordan elimination on sparse integer rows that are kept primitive
   (each divided by the gcd of its entries), as in Geddes, Czapor and
@@ -56,12 +56,15 @@ from .errors import DomainError, WindowOverflowError
 # Fixed so that lambda_sigma(rho(phi), rho(psi)) = +lambda_cov(phi, psi);
 # frozen after being derived against the brute-force pairing oracle.
 SIGMA_SIGN = -1
+# the value of every pairing that vanishes; Fractions are immutable
+_ZERO = Fraction(0)
 
 
 class LatticeSection:
-    """Finitely supported rational function on the (t, x) window."""
+    """Finitely supported rational function on the (t, x) window: nonzero
+    integer numerators over one positive denominator, not always reduced."""
 
-    __slots__ = ("values",)
+    __slots__ = ("_nums", "_den")
 
     def __init__(self, values=None):
         vals = {}
@@ -69,44 +72,54 @@ class LatticeSection:
             q = Fraction(v)
             if q:
                 vals[(int(key[0]), int(key[1]))] = q
-        self.values = vals
+        self._den, (self._nums,) = scalars.numerators(vals)
+
+    @classmethod
+    def _from_numerators(cls, nums, den):
+        """The section nums/den, for {site: nonzero int} and den > 0."""
+        self = object.__new__(cls)
+        self._nums, self._den = nums, den
+        return self
 
     @classmethod
     def delta(cls, t, x, value=1):
         return cls({(t, x): value})
 
+    @property
+    def values(self):
+        return {k: Fraction(n, self._den) for k, n in self._nums.items()}
+
     def __getitem__(self, key):
-        return self.values.get(key, Fraction(0))
+        return Fraction(self._nums.get(key, 0), self._den)
 
     def __add__(self, other):
-        out = dict(self.values)
-        for k, v in other.values.items():
-            s = out.get(k, Fraction(0)) + v
-            if s:
-                out[k] = s
-            else:
-                out.pop(k, None)
-        return LatticeSection(out)
+        den = math.lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        out = {k: n * a for k, n in self._nums.items()}
+        for k, n in other._nums.items():
+            out[k] = out.get(k, 0) + n * b
+        return LatticeSection._from_numerators({k: n for k, n in out.items() if n}, den)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return LatticeSection()
-        return LatticeSection({k: v * c for k, v in self.values.items()})
+        n, d = Fraction(c).as_integer_ratio()
+        nums = {k: v * n for k, v in self._nums.items()} if n else {}
+        return LatticeSection._from_numerators(nums, self._den * d)
 
     def support(self):
-        return set(self.values)
+        return set(self._nums)
 
     def __eq__(self, other):
         if not isinstance(other, LatticeSection):
             return NotImplemented
-        return self.values == other.values
+        a, b = self._den, other._den
+        mine = {k: n * b for k, n in self._nums.items()}
+        return mine == {k: n * a for k, n in other._nums.items()}
 
     def __bool__(self):
-        return bool(self.values)
+        return bool(self._nums)
 
     def __repr__(self):
         return f"LatticeSection({self.values!r})"
@@ -179,13 +192,13 @@ class LatticeSpacetime:
     # -- basic checks ---------------------------------------------------
 
     def _check_in_window(self, u: LatticeSection):
-        for t, x in u.values:
+        for t, x in u._nums:
             if not (0 <= t < self.T and 0 <= x < self.N):
                 raise WindowOverflowError(f"site ({t}, {x}) outside the window")
 
     def check_margin(self, u: LatticeSection):
         self._check_in_window(u)
-        for t, _ in u.values:
+        for t, _ in u._nums:
             if t < 1 or t > self.T - 2:
                 raise WindowOverflowError(
                     f"support touches the temporal boundary (t = {t})"
@@ -251,23 +264,20 @@ class LatticeSpacetime:
         denominator."""
         self.check_margin(phi)
         K, den = self._green_kernel()
-        q, (weights,) = scalars.numerators(phi.values)
         rows = {t: [0] * self.N for t in times}
-        for (ts, xs), c in weights.items():
+        for (ts, xs), c in phi._nums.items():
             for t, row in rows.items():
                 coef = ret if t > ts else adv if t < ts else 0
                 if coef:
                     _add_shifted(row, K[abs(t - ts) - 1], xs, coef * c)
-        return rows, den * q
+        return rows, den * phi._den
 
     def _green(self, phi: LatticeSection, ret: int, adv: int) -> LatticeSection:
         """ret * G_ret(phi) + adv * G_adv(phi) on the whole window."""
         rows, den = self._kernel_rows(phi, range(self.T), ret, adv)
-        out = LatticeSection()
-        out.values = {
-            (t, x): Fraction(n, den) for t, row in rows.items() for x, n in enumerate(row) if n
-        }
-        return out
+        return LatticeSection._from_numerators(
+            {(t, x): n for t, row in rows.items() for x, n in enumerate(row) if n}, den
+        )
 
     def green_retarded(self, phi: LatticeSection) -> LatticeSection:
         """The unique solution of D u = phi vanishing below the source."""
@@ -285,8 +295,11 @@ class LatticeSpacetime:
 
     def pairing(self, phi: LatticeSection, u: LatticeSection) -> Fraction:
         """Counting pairing, the sum of phi * u over the common support."""
-        small, big = sorted((phi.values, u.values), key=len)
-        return sum((v * big[k] for k, v in small.items() if k in big), Fraction(0))
+        small, big = phi._nums, u._nums
+        if len(small) > len(big):
+            small, big = big, small
+        total = sum([n * big[k] for k, n in small.items() if k in big])
+        return Fraction(total, phi._den * u._den) if total else _ZERO
 
     def lambda_cov(self, phi: LatticeSection, psi: LatticeSection) -> Fraction:
         """Covariant pairing: propagated phi integrated against psi."""
@@ -321,10 +334,10 @@ class LatticeSpacetime:
     def lambda_sigma(self, A: CauchyPair, B: CauchyPair) -> Fraction:
         """Discrete Wronskian pairing of two-slice data; antisymmetric,
         and conserved along solutions of the homogeneous equation."""
-        if A.sites != B.sites:
+        if len(A._num0) != len(B._num0):
             raise DomainError("slice size mismatch")
         total = sum(map(mul, A._num1, B._num0)) - sum(map(mul, A._num0, B._num1))
-        return Fraction(SIGMA_SIGN * total, A._den * B._den)
+        return Fraction(SIGMA_SIGN * total, A._den * B._den) if total else _ZERO
 
     # -- Casimirs and the time slice --------------------------------------
 
@@ -497,7 +510,8 @@ def kernel_identification_report(st: LatticeSpacetime, t0: int = None):
     restricted = [st.rho_sigma(img, t0) for img in images]
     inclusion_ok = not any(any(p._num0) or any(p._num1) for p in restricted)
     # one row per margin site, one column per image: faster here than the transpose
-    d_rank = exact_rank([[img.values.get(site, 0) for img in images] for site in margin])
+    # image numerators: scaling a column by a nonzero constant keeps the rank
+    d_rank = exact_rank([[img._nums.get(site, 0) for img in images] for site in margin])
 
     kernel_dim = len(margin) - rho_rank
     return {

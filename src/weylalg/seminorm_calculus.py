@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from itertools import chain
 
@@ -370,13 +371,34 @@ class EstimateReport:
 
 
 def reports_to_csv(reports) -> str:
-    """Flatten estimate reports into CSV rows (lhs, rhs, slack, holds)."""
+    """Flatten estimate reports into CSV rows (lhs, rhs, slack, holds).
+
+    Sides that fit binary64 are written, and divided, as floats.  A row
+    with an exact side beyond binary64 takes slack as the exact quotient,
+    and each of its values beyond binary64 is written to 17 significant
+    digits (``_csv_number``).
+    """
     lines = ["index,lhs,rhs,slack,holds"]
     for k, rep in enumerate(reports):
-        lhs, rhs = float(rep.lhs), float(rep.rhs)
+        try:
+            lhs, rhs = float(rep.lhs), float(rep.rhs)
+        except OverflowError:
+            lhs, rhs = rep.lhs, rep.rhs
         slack = rhs / lhs if lhs else math.inf
-        lines.append(f"{k},{lhs!r},{rhs!r},{slack!r},{int(rep.holds)}")
+        cells = ",".join(map(_csv_number, (lhs, rhs, slack)))
+        lines.append(f"{k},{cells},{int(rep.holds)}")
     return "\n".join(lines) + "\n"
+
+
+def _csv_number(q) -> str:
+    """repr(float(q)) where q fits binary64, else the exact q rounded to 17
+    significant decimal digits."""
+    try:
+        return repr(float(q))
+    except OverflowError:
+        with localcontext() as ctx:
+            ctx.prec = 17
+            return f"{Decimal(q.numerator) / Decimal(q.denominator):.16e}"
 
 
 def _dominating_seminorm(form: BilinearForm, p: WeightedSeminorm, exact: bool):

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -769,6 +770,54 @@ def test_values_beyond_binary64_are_refused(args, doc, capsys, monkeypatch):
     code, out, err = run_cli(args, json.dumps(doc) if doc else None, capsys, monkeypatch)
     assert code == 4 and out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "suite, flags, kwargs",
+    [
+        ("bracket-estimate", ["--R", "200"], {"R": Fraction(200)}),
+        ("product-estimate", ["--R", "1", "--zmag", "1e300"], {"R": 1, "zmag": Fraction(10**300)}),
+    ],
+)
+def test_estimate_csv_writes_exact_sides_beyond_binary64(suite, flags, kwargs, capsys, monkeypatch):
+    args = ["verify", suite, *flags, "--trials", "1", "--format", "csv"]
+    code, out, err = run_cli(args, None, capsys, monkeypatch)
+    assert code == 0 and err == ""
+    header, row = out.splitlines()
+    assert header == "index,lhs,rhs,slack,holds"
+    reports = []
+    suites.SUITES[suite](0, 1, collect=reports, **kwargs)
+    (rep,) = reports
+    for text, exact in zip(row.split(",")[1:4], (rep.lhs, rep.rhs, rep.rhs / rep.lhs)):
+        digits, exponent = text.split("e")
+        assert len(digits.replace(".", "")) == 17 and int(exponent) > 308
+        # within one unit in the 17th significant digit
+        assert abs(Fraction(text) - exact) <= Fraction(10) ** (int(exponent) - 16)
+
+
+@pytest.mark.parametrize(
+    "args", [["kothe", "--n-max", "x"], ["verify", "product-estimate", "--R", "-3/7"]]
+)
+def test_usage_errors_are_one_input_error_line(args):
+    src = Path(weylalg.__file__).resolve().parent.parent
+    run = subprocess.run(
+        [sys.executable, "-m", "weylalg.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert run.returncode == 2 and run.stdout == ""
+    assert run.stderr.startswith("input error: ") and run.stderr.count("\n") == 1
+    assert "Traceback" not in run.stderr
+
+
+def test_help_prints_usage_and_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["kothe", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: weylalg kothe") and "--n-max" in out
 
 
 @pytest.mark.parametrize(

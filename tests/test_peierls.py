@@ -417,12 +417,68 @@ def test_pairing_equals_the_plain_sum_over_the_window():
         (g, h),
     ]
     for phi, u in cases:
-        plain = sum((phi[k] * u[k] for k in window), Fraction(0))
-        for a, b in ((phi, u), (u, phi)):
-            value = st.pairing(a, b)
-            assert type(value) is Fraction and value == plain
+        _assert_pairing_is_the_plain_sum(st, phi, u, window)
     assert st.pairing(LatticeSection.delta(5, 2), g) == 0
     assert st.pairing(three, g) != 0 and st.pairing(g, h) != 0
+
+
+@pytest.mark.parametrize("m2", [Fraction(0), Fraction(1, 3)])
+def test_pairing_of_every_propagated_margin_delta_is_the_plain_sum(m2):
+    st = LatticeSpacetime(12, 8, m2)
+    window = [(t, x) for t in range(st.T) for x in range(st.N)]
+    three = LatticeSection({(7, 2): Fraction(3, 4), (6, 0): -2, (3, 5): Fraction(1, 6)})
+    for site in st.margin_sites():
+        delta = LatticeSection.delta(*site)
+        g = st.propagator(delta)
+        for phi in (delta, LatticeSection.delta(8, 4), three):
+            _assert_pairing_is_the_plain_sum(st, phi, g, window)
+
+
+def _assert_pairing_is_the_plain_sum(st, phi, u, window):
+    plain = sum((phi[k] * u[k] for k in window), Fraction(0))
+    for a, b in ((phi, u), (u, phi)):
+        value = st.pairing(a, b)
+        assert type(value) is Fraction and value == plain
+
+
+@pytest.mark.parametrize("T, N", [(12, 8), (16, 12)])
+def test_propagator_builds_no_fraction_per_site(T, N, monkeypatch):
+    st = LatticeSpacetime(T, N, Fraction(1, 3))
+    st.propagator(LatticeSection.delta(1, 0))  # builds the Green kernel
+    delta = LatticeSection.delta(T // 2, N // 2)
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    g = st.propagator(delta)
+    monkeypatch.undo()
+    assert len(g.support()) > T * N // 2
+    assert len(built) <= 2
+
+
+def test_numerator_sections_read_as_their_fraction_maps():
+    from weylalg import jsonio
+
+    fractions = {(2, 1): Fraction(1, 2), (3, 4): Fraction(-1, 3), (5, 0): Fraction(2)}
+    plain = LatticeSection(fractions)
+    # the same values over 36, a denominator that is not reduced
+    unreduced = LatticeSection._from_numerators({(2, 1): 18, (3, 4): -12, (5, 0): 72}, 36)
+    g = ST.propagator(LatticeSection.delta(5, 2).scale(Fraction(3, 7)))
+    for u, ref in ((unreduced, plain), (g, LatticeSection(g.values))):
+        assert u.values == ref.values and repr(u) == repr(ref)
+        assert u == ref and ref == u and not u != ref
+        assert jsonio.section_to_json(u) == jsonio.section_to_json(ref)
+        assert all(type(v) is Fraction for v in u.values.values())
+    assert unreduced.values == fractions and unreduced[(2, 1)] == Fraction(1, 2)
+    assert unreduced[(0, 0)] == 0 and unreduced.support() == set(fractions)
+    assert unreduced != LatticeSection({(2, 1): Fraction(1, 2), (3, 4): Fraction(-1, 3)})
+    assert not (unreduced - plain) and unreduced - plain == LatticeSection()
+    assert unreduced.scale(Fraction(-3, 2)) == plain.scale(Fraction(-3, 2))
+    assert unreduced.scale(0) == LatticeSection() and not unreduced.scale(0)
 
 
 def test_exact_rank_is_invariant_under_transposition():
