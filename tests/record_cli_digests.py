@@ -1,10 +1,11 @@
-"""Re-record the golden CLI digests of ``test_cli.py``.
+"""Re-record the golden digests of ``test_cli.py`` and ``test_estimate_digests.py``.
 
     PYTHONPATH=src python tests/record_cli_digests.py
 
-Recomputes every ``CLI_DIGESTS`` and ``PEIERLS_DIGESTS`` entry in process,
-through ``cli.main`` and the tests' own ``_cli_digest`` and
-``_peierls_digest``, and prints only the entries whose digest differs, as
+Recomputes every ``CLI_DIGESTS``, ``PEIERLS_DIGESTS`` and
+``ESTIMATE_DIGESTS`` entry in process, through ``cli.main`` and the tests'
+own ``_cli_digest``, ``_peierls_digest`` and ``_estimate_digest``, and
+prints only the entries whose digest differs, as
 table lines to paste over the old ones; a count goes to stderr.  It edits
 no file: an intended output change is pasted by hand, and CHANGES.md lists
 the re-recorded entries with the reason.
@@ -18,6 +19,7 @@ from types import SimpleNamespace
 import pytest
 
 import test_cli
+import test_estimate_digests
 
 
 class _Capture:
@@ -56,11 +58,16 @@ def main():
             new = test_cli._peierls_digest(cmd, cap)
             if new != digest:
                 changed.append(f'    "{cmd}":\n        "{new}",')
+        for name, digest in test_estimate_digests.ESTIMATE_DIGESTS.items():
+            new = test_estimate_digests._estimate_digest(name)
+            if new != digest:
+                changed.append(f'    "{name}":\n        "{new}",')
     finally:
         mp.undo()
     for line in changed:
         print(line)
-    total = len(test_cli.CLI_DIGESTS) + len(test_cli.PEIERLS_DIGESTS)
+    total = sum(map(len, (test_cli.CLI_DIGESTS, test_cli.PEIERLS_DIGESTS,
+                          test_estimate_digests.ESTIMATE_DIGESTS)))
     print(f"{len(changed)} of {total} digests differ", file=sys.stderr)
 
 
