@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import math
+import re
 import sys
 
 from . import jsonio
@@ -78,7 +79,13 @@ def main(argv=None) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """argparse with a usage error as one ``input error:`` line and exit 2;
-    its subcommand parsers are of this class too."""
+    its subcommand parsers are of this class too.  An argument that starts
+    with a minus sign and a digit or point, such as -3/7, -0.25 or -1e-3, is
+    a value, not an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
         self.exit(EXIT_INPUT, f"input error: {message}\n")

@@ -31,7 +31,7 @@ from .seminorm_calculus import WeightedSeminorm
 # Caps on an exact literal, checked before Fraction sees it: parsing costs
 # more than linear time in both, and a value of more than 4300 digits
 # cannot be printed back.  The value itself must also lie within binary64,
-# because estimates, reports and Koethe logs convert inputs to float.
+# because the float backend and Koethe logs convert inputs to float.
 RATIONAL_MAX_DIGITS = 1000
 RATIONAL_MAX_EXPONENT = 1000
 _FLOAT_MAX = Fraction(sys.float_info.max)

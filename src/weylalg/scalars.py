@@ -14,7 +14,9 @@ takes ``int``, ``Fraction`` or ``QC`` arguments and means re + i*im, as
 coefficient is that coefficient.  Callers use
 ``.conjugate()``, ``abs()``, ``complex()`` and truth testing directly; only
 what depends on the backend lives here (:func:`coerce`, :func:`from_rational`,
-:func:`mul_rat`, :func:`abs_exact`, :func:`log_abs`).  Bulk exact arithmetic
+:func:`mul_rat`, :func:`abs_exact`, :func:`log_abs`), and so do the integer
+roots (:func:`root_bounds`, :func:`rational_root_bounds`) that enclose an
+irrational modulus or power between rationals.  Bulk exact arithmetic
 leaves ``QC`` at one boundary: :func:`numerators` turns a map of exact
 scalars into integer numerators over one shared denominator, and
 :func:`from_numerators` builds the ``QC`` values back, reducing each
@@ -202,15 +204,39 @@ def _as_float(x) -> float:
         return float(Fraction(x))
 
 
+def root_bounds(x: int, q: int, k: int = 0):
+    """(lo, hi) with lo <= x^(1/q) 2^k <= hi for an integer x >= 0, equal
+    exactly when that root is an integer.
+
+    lo is the integer q-th root of y = x 2^(qk): ``math.isqrt`` for q = 2,
+    else Newton's iteration from the power of two above the root, which
+    falls to it (Brent and Zimmermann, Modern Computer Arithmetic, 1.5.2).
+    """
+    y = x << q * k
+    if q == 1 or y < 2:
+        return y, y
+    if q == 2:
+        r = math.isqrt(y)
+    else:
+        r = 1 << -(-y.bit_length() // q)
+        while (u := ((q - 1) * r + y // r ** (q - 1)) // q) < r:
+            r = u
+    return r, r + (r**q != y)
+
+
+def rational_root_bounds(x: Fraction, q: int, k: int = 0):
+    """[lo, hi] around x^(1/q) for a rational x = n/d >= 0: the ends of
+    ``root_bounds`` of n d^(q-1) over d 2^k, equal when the root is rational."""
+    n, d = x.numerator, x.denominator
+    return tuple(Fraction(r, d << k) for r in root_bounds(n * d ** (q - 1), q, k))
+
+
 def _fraction_sqrt(q):
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
         return None
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
+    lo, hi = rational_root_bounds(q, 2)
+    return lo if lo == hi else None
 
 
 def abs_exact(x):

@@ -6,21 +6,18 @@ l1 are again l1 with product weights, so the degree-n seminorm of a
 polynomial is an exactly computable coefficient sum; general seminorms
 would require an infimum over tensor decompositions.
 
-Numeric results are binary64 with a documented relative tolerance of 1e-9
-for equality-style checks.  The product and bracket estimates are one
-inequality check (``_estimate_report``).  It runs in exact rational
-arithmetic whenever both sides are rational (rational weights and
-coefficient magnitudes, integer weight exponent R; ``_takes_exact_path``),
-otherwise in floats, refused where a float side leaves binary64.
-Verifier grids are embarrassingly parallel and deterministic given a seed.
-
-Exact seminorms are integer sums.  With the weights a_i/W over the lcm W
+Exact seminorms are integer sums: with the weights a_i/W over the lcm W
 of their denominators and the coefficients integer numerators over one
-den, degree n sums |numerator| times the product of the a_i^k into one
-integer S_n, and pn(a, n) = S_n/(den W^n).  ``p_R`` and ``p_R_inf`` take
-the n!^R S_n over the one denominator den W^N of the top degree N (times
-N!^|R| for a negative R), and the product estimate's c' is one truncated
-exponential on integers; each builds a single Fraction at the end.
+den, degree n sums |numerator| times the product of the a_i^(e_i) into one
+integer S_n, and pn(a, n) = S_n/(den W^n); ``p_R`` puts every n!^R S_n
+over one denominator.  The product and bracket estimates are one check
+(``_estimate_report``) at every rational R, in rationals: each side and
+constant lies between two such sums, with n!^R, 2^R and any irrational
+modulus enclosed by integer roots at k bits, and k doubles until the
+verdict is decided and every value prints as one number.  At an integer
+R with rational magnitudes the two sums are one, the exact value.  The
+other numeric results (``p_R`` without ``exact``, Koethe logs) are
+binary64.  Verifier grids are deterministic given a seed.
 """
 
 from __future__ import annotations
@@ -30,7 +27,6 @@ import random
 import sys
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from itertools import chain
 
 from . import scalars
 from .bilinear_forms import BilinearForm
@@ -38,17 +34,19 @@ from .errors import DomainError, RefusedPreconditionError
 from .graded_poly import Element
 from .star_algebra import poisson_bracket, star
 
-REL_TOL = 1e-9
 # The package's binary64 range policy lives here: direct forms where they fit,
 # log space where only an intermediate overflows, refusal outside the range.
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 FLOAT_MIN = sys.float_info.min
-# The exact product and bracket estimates build n!^R and 4^(Rk) as
-# integers, and their time grows faster than R (a product-estimate trial of
-# `verify` takes about 15 ms at R = 1000 and 1 s at R = 10000 with Python
-# 3.11 on a 2-core x86-64 host, most of it in c' and its reduction);
-# above this integer R they are refused.
+# The estimates take Q-th roots of n!^P and 4^P for R = P/Q, and their time
+# grows faster than R (a product-estimate trial of `verify` takes about
+# 15 ms at R = 1000 and 1 s at R = 10000 with Python 3.11 on a 2-core
+# x86-64 host); an R past these caps is refused before any work.
 EXACT_ESTIMATE_MAX_R = 1000
+ESTIMATE_MAX_R_NUMERATOR = 2000
+ESTIMATE_MAX_R_DENOMINATOR = 100
+# The enclosures start at k = 0 bits and double from 64 up to this cap.
+ESTIMATE_MAX_BITS = 4096
 
 
 class WeightedSeminorm:
@@ -92,49 +90,62 @@ class WeightedSeminorm:
         return f"WeightedSeminorm({dict(zip(self.basis.names, self.weights))})"
 
 
-def _coeff_abs(c, exact: bool):
-    if exact:
-        a = scalars.abs_exact(c)
-        if a is None:
-            raise DomainError(
-                "coefficient magnitude is irrational; exact seminorm unavailable"
-            )
-        return a
-    return abs(c)
-
-
-def _degree_sums(a: Element, p: WeightedSeminorm):
-    """(den, W, sums): pn(a, n) = sums[n] / (den W^n), with integer sums.
-
-    The weights are a_i/W over the lcm W of their denominators and the
-    coefficients integer numerators over one den; sums[n] adds, over the
-    degree-n terms, the modulus of the numerator times the product of the
-    a_i^k.
+def _weighted_terms(a: Element, p: WeightedSeminorm, R: Fraction, k: int = 0, c=(1, 1)):
+    """The ends lo, hi of an enclosure of the terms n!^R c^n pn(a, n), c in
+    [c[0], c[1]], each ({n: numerator}, denominator): with N the top degree
+    and c = u/v there, n!^R 2^k u^n (W v)^(N-n) times 2^k S_n over den 4^k
+    (W v)^N, n!^R and a complex numerator's modulus enclosed by
+    ``scalars.root_bounds``.  A negative R, an integer, puts N!^|R| in the
+    denominator and (N!/n!)^|R| for n!^R.  At width 0 the ends are one.
     """
     if a.backend != "exact":
         raise DomainError("exact seminorms need exact coefficients; this element holds floats")
     W = math.lcm(*(w.denominator for w in p.weights))
     pows = [[1, w.numerator * (W // w.denominator)] for w in p.weights]
     den, (re, *im) = scalars.numerators(a.terms)
-    sums = {}
+    lows, gaps = {}, {}
     for e in a.terms:
-        m = abs(re.get(e, 0))
+        lo = hi = abs(re.get(e, 0)) << k
         if im:
-            s = m * m + im[0].get(e, 0) ** 2
-            m = math.isqrt(s)
-            if m * m != s:
-                raise DomainError(
-                    "coefficient magnitude is irrational; exact seminorm unavailable"
-                )
-        for i, k in enumerate(e):
-            if k:
+            lo, hi = scalars.root_bounds(re.get(e, 0) ** 2 + im[0].get(e, 0) ** 2, 2, k)
+        m = 1
+        for i, j in enumerate(e):
+            if j:
                 row = pows[i]
-                while len(row) <= k:
+                while len(row) <= j:
                     row.append(row[-1] * row[1])
-                m *= row[k]
+                m *= row[j]
         n = sum(e)
-        sums[n] = sums.get(n, 0) + m
-    return den, W, sums
+        lows[n] = lows.get(n, 0) + lo * m
+        if hi != lo:
+            gaps[n] = gaps.get(n, 0) + m
+    highs = {n: s + gaps.get(n, 0) for n, s in lows.items()} if gaps else lows
+    N = max(lows, default=0)
+    P, Q = R.numerator, R.denominator
+    D = den << 2 * k if P >= 0 else (den << 2 * k) * math.factorial(N) ** -P
+    powers = {n: math.perm(N, N - n) ** -P if P < 0 else math.factorial(n) ** P for n in lows}
+    facts = {n: scalars.root_bounds(x, Q, k) for n, x in powers.items()}
+
+    def end(sums, c, i):
+        c = Fraction(c)
+        u, Wv = c.numerator, W * c.denominator
+        return {n: facts[n][i] * u**n * s * Wv ** (N - n) for n, s in sums.items()}, D * Wv**N
+
+    lo = end(lows, c[0], 0)
+    if highs is lows and c[0] == c[1] and all(f == h for f, h in facts.values()):
+        return lo, lo
+    return lo, end(highs, c[1], 1)
+
+
+def _exact_terms(a: Element, p: WeightedSeminorm, R):
+    """The terms of ``_weighted_terms`` where their enclosure has width 0."""
+    R = Fraction(R)
+    if R.denominator != 1:
+        raise DomainError("exact factorial powers need an integer R")
+    lo, hi = _weighted_terms(a, p, R)
+    if hi is not lo:
+        raise DomainError("coefficient magnitude is irrational; exact seminorm unavailable")
+    return lo
 
 
 def pn_seminorm(a: Element, n: int, p: WeightedSeminorm, exact: bool = False):
@@ -145,8 +156,8 @@ def pn_seminorm(a: Element, n: int, p: WeightedSeminorm, exact: bool = False):
     families, so this collapses to a plain weighted coefficient sum.
     """
     if exact:
-        den, W, sums = _degree_sums(a, p)
-        return Fraction(sums.get(n, 0), den * W**n)
+        nums, D = _exact_terms(a, p, 0)
+        return Fraction(nums.get(n, 0), D)
     total = 0.0
     for e, c in a.terms.items():
         if sum(e) == n:
@@ -185,32 +196,11 @@ def _degree_terms(a: Element, p: WeightedSeminorm, R):
         yield _weighted_term(n, R, pn_seminorm(part, n, p))
 
 
-def _exact_weighted_terms(a: Element, p: WeightedSeminorm, R):
-    """(numerators, D) of the terms n!^R pn(a, n) over one denominator D.
-
-    With N the top degree, D = den W^N, times N!^|R| when R < 0; the degree-n
-    numerator is n!^R sums[n] W^(N-n), or (N!/n!)^|R| sums[n] W^(N-n).
-    """
-    R = Fraction(R)
-    if R.denominator != 1:
-        raise DomainError("exact factorial powers need an integer R")
-    r = R.numerator
-    den, W, sums = _degree_sums(a, p)
-    N = max(sums, default=0)
-    D = den * W**N
-    if r >= 0:
-        nums = [math.factorial(n) ** r * s * W ** (N - n) for n, s in sums.items()]
-    else:
-        nums = [math.perm(N, N - n) ** -r * s * W ** (N - n) for n, s in sums.items()]
-        D *= math.factorial(N) ** -r
-    return nums, D
-
-
 def p_R(a: Element, p: WeightedSeminorm, R, exact: bool = False):
     """The weighted-factorial seminorm: sum_n n!^R * pn(a, n)."""
     if exact:
-        nums, D = _exact_weighted_terms(a, p, R)
-        return Fraction(sum(nums), D)
+        nums, D = _exact_terms(a, p, R)
+        return Fraction(sum(nums.values()), D)
     total = 0.0
     for v in _degree_terms(a, p, R):
         total += v
@@ -220,8 +210,8 @@ def p_R(a: Element, p: WeightedSeminorm, R, exact: bool = False):
 def p_R_inf(a: Element, p: WeightedSeminorm, R, exact: bool = False):
     """The sup variant: sup_n n!^R * pn(a, n)."""
     if exact:
-        nums, D = _exact_weighted_terms(a, p, R)
-        return Fraction(max(nums, default=0), D)
+        nums, D = _exact_terms(a, p, R)
+        return Fraction(max(nums.values(), default=0), D)
     return max(_degree_terms(a, p, R), default=0.0)
 
 
@@ -358,11 +348,12 @@ class EstimateReport:
         self.witness = {} if witness is None else witness
 
     def to_dict(self):
+        """Sides and numeric constants by ``_number``."""
         return {
-            "lhs": float(self.lhs),
-            "rhs": float(self.rhs),
+            "lhs": _number(self.lhs),
+            "rhs": _number(self.rhs),
             "constants": {
-                k: (float(v) if isinstance(v, (int, float, Fraction)) else v)
+                k: (_number(v) if isinstance(v, (int, float, Fraction)) else v)
                 for k, v in self.constants.items()
             },
             "holds": self.holds,
@@ -373,128 +364,140 @@ class EstimateReport:
 def reports_to_csv(reports) -> str:
     """Flatten estimate reports into CSV rows (lhs, rhs, slack, holds).
 
-    Sides that fit binary64 are written, and divided, as floats.  A row
-    with an exact side beyond binary64 takes slack as the exact quotient,
-    and each of its values beyond binary64 is written to 17 significant
-    digits (``_csv_number``).
+    Sides that fit binary64 are divided as floats; a row with a side beyond
+    it takes slack as the exact quotient.  Values are written by ``_number``.
     """
     lines = ["index,lhs,rhs,slack,holds"]
     for k, rep in enumerate(reports):
         try:
             lhs, rhs = float(rep.lhs), float(rep.rhs)
         except OverflowError:
-            lhs, rhs = rep.lhs, rep.rhs
+            lhs, rhs = Fraction(rep.lhs), Fraction(rep.rhs)
         slack = rhs / lhs if lhs else math.inf
-        cells = ",".join(map(_csv_number, (lhs, rhs, slack)))
+        cells = ",".join(str(_number(x)) for x in (lhs, rhs, slack))
         lines.append(f"{k},{cells},{int(rep.holds)}")
     return "\n".join(lines) + "\n"
 
 
-def _csv_number(q) -> str:
-    """repr(float(q)) where q fits binary64, else the exact q rounded to 17
-    significant decimal digits."""
+def _number(q):
+    """float(q) where q fits binary64, else q to 17 significant digits, a str."""
     try:
-        return repr(float(q))
+        return float(q)
     except OverflowError:
         with localcontext() as ctx:
             ctx.prec = 17
             return f"{Decimal(q.numerator) / Decimal(q.denominator):.16e}"
 
 
-def _dominating_seminorm(form: BilinearForm, p: WeightedSeminorm, exact: bool):
-    """Rescale p so that |form(e_i, e_j)| <= p(e_i) p(e_j) everywhere."""
-    gamma = Fraction(0) if exact else 0.0
-    for i, j in form.pairs():
-        c = form.matrix[i][j]
-        mag = _coeff_abs(c, exact)
-        ratio = mag / (p.weights[i] * p.weights[j])
-        if ratio > gamma:
-            gamma = ratio
-    if gamma <= 1:
-        return p, Fraction(1) if exact else 1.0
-    if exact:
-        sigma = Fraction(math.sqrt(float(gamma))).limit_denominator(10**9)
-        while sigma * sigma < gamma:
-            sigma *= Fraction(1048577, 1048576)
-        return p.scaled(sigma), sigma
-    sigma = math.sqrt(gamma) * (1 + 1e-12)
-    return p.scaled(Fraction(sigma)), sigma
+def _reported(lo: Fraction, hi: Fraction):
+    """What an enclosure [lo, hi] reports: lo at width 0, else the float both
+    ends round to, or beyond binary64 lo once both ends print alike by
+    ``_number``; None while the ends differ."""
+    if lo == hi:
+        return lo
+    x = _number(lo)
+    return None if x != _number(hi) else lo if isinstance(x, str) else x
 
 
-def _series_sum(term, kmax: int = 40) -> float:
-    total = 0.0
-    for k in range(kmax + 1):
-        t = term(k)
-        total += t
-        if t < 1e-30 * (total or 1.0):
-            break
-    return total
+def _dominating_seminorm(form: BilinearForm, p: WeightedSeminorm):
+    """Rescale p so that |form(e_i, e_j)| <= p(e_i) p(e_j) everywhere.
+
+    With gamma the largest |form(e_i, e_j)| / (p(e_i) p(e_j)), sigma starts
+    at the binary64 root of gamma cut to a denominator of at most 10^9 (past
+    binary64, at an integer root) and grows until sigma^4 >= gamma^2."""
+    gamma2 = max(
+        (form.matrix[i][j].abs2() / (p.weights[i] * p.weights[j]) ** 2 for i, j in form.pairs()),
+        default=0,
+    )
+    if gamma2 <= 1:
+        return p, Fraction(1)
+    try:
+        gamma = scalars._fraction_sqrt(gamma2) or math.sqrt(gamma2)
+        sigma = Fraction(math.sqrt(gamma)).limit_denominator(10**9)
+    except OverflowError:
+        n, d = gamma2.numerator, gamma2.denominator
+        sigma = Fraction(math.isqrt(math.isqrt(n * d**3)) + 1, d)
+    while sigma**4 < gamma2:
+        sigma *= Fraction(1048577, 1048576)
+    return p.scaled(sigma), sigma
 
 
-def _exp_partial_sum(x: Fraction, kmax: int = 40) -> Fraction:
-    """sum_{k <= kmax} x^k/k! as one Fraction.
+def _c_prime(x_lo: Fraction, x_hi: Fraction, e: Fraction, k: int):
+    """[lo, hi] around sum_{j <= 40} x^j / j!^e for x in [x_lo, x_hi]: it grows
+    with x and falls with j!^e, whose ends ``scalars.root_bounds`` gives
+    times 2^k.  With x = u/v and L the lcm of the divisors d_j, an end is
+    sum_j u^j v^(40-j) L/d_j over L v^40, by Horner's rule on integers."""
+    g = [scalars.root_bounds(math.factorial(j) ** e.numerator, e.denominator, k) for j in range(41)]
 
-    With x = u/v it is sum_k u^k v^(kmax-k) kmax!/k! over kmax! v^kmax,
-    the numerator by Horner's rule on integers.
-    """
-    u, v = x.numerator, x.denominator
-    acc, c, vp = 1, 1, 1
-    for k in range(kmax, 0, -1):
-        c *= k
-        vp *= v
-        acc = acc * u + c * vp
-    return Fraction(acc, math.factorial(kmax) * vp)
+    def end(x, divisors):
+        u, v, L = x.numerator, x.denominator, math.lcm(*divisors)
+        acc, vp = 0, 1
+        for d in reversed(divisors):
+            acc = acc * u + L // d * vp
+            vp *= v
+        return Fraction(acc << k, L * vp // v)
 
-
-def _takes_exact_path(exact, R: Fraction, a: Element, b: Element, result: Element,
-                      form: BilinearForm, *magnitudes) -> bool:
-    """The path of an estimate: with ``exact=None`` the exact one where it can
-    answer, that is R an integer, exact coefficients and every magnitude the
-    check uses rational (|c| of the form entries, of the coefficients of a,
-    b and the result, and of ``magnitudes``).  An exact R past the cap is refused.
-    """
-    if exact is None:
-        values = chain(magnitudes, (c for _, _, c in form._entries),
-                       *(x.terms.values() for x in (a, b, result)))
-        exact = R.denominator == 1 and a.backend == "exact" and all(
-            not (isinstance(c, scalars.QC) and c.im) or scalars.abs_exact(c) is not None
-            for c in values
-        )
-    if exact and R > EXACT_ESTIMATE_MAX_R:
-        raise RefusedPreconditionError(
-            f"exact estimates are limited to R <= {EXACT_ESTIMATE_MAX_R}"
-        )
-    return exact
+    lo = end(x_lo, [hi for _, hi in g])
+    if x_lo == x_hi and all(f == h for f, h in g):
+        return lo, lo
+    return lo, end(x_hi, [lo for lo, _ in g])
 
 
 def _estimate_report(a: Element, b: Element, result: Element, form: BilinearForm,
-                     p: WeightedSeminorm, R: Fraction, exact: bool, constants,
+                     p: WeightedSeminorm, R: Fraction, exact, constants,
                      witness: dict) -> EstimateReport:
     """Check p_R(result) <= c' (c p_dom)_R(a) (c p_dom)_R(b), p_dom dominating the form.
 
-    ``constants(r, two)`` names c and, unless it is 1, c'; it gets R and 2
-    as int and Fraction, or as floats, keeping binary64 order of operations
-    on the float path.  Float values beyond binary64 are refused.
+    ``constants(k)`` names the enclosures of c and, unless it is 1, c' at k
+    bits; ``_weighted_terms`` gives those of the p_R.  From k = 0, k doubles
+    from 64 until hi(lhs) <= lo(rhs) (holds) or lo(lhs) > hi(rhs) (fails)
+    and every value prints as one number (``_reported``), refused past
+    ESTIMATE_MAX_BITS.  With ``exact`` a nonzero width is a DomainError.
     """
-    try:
-        pd, sigma = _dominating_seminorm(form, p, exact)
-        named = constants(R.numerator, Fraction(2)) if exact else constants(float(R), 2.0)
-        lhs = p_R(result, pd, R, exact)
-        cp = pd.scaled(named["c"])
-        rhs = named.get("c_prime", 1) * p_R(a, cp, R, exact) * p_R(b, cp, R, exact)
-        in_range = exact or math.isfinite(lhs) and math.isfinite(rhs)
-    except OverflowError:
-        in_range = False
-    if not in_range:
-        raise RefusedPreconditionError("an estimate's side or constant exceeds binary64")
-    holds = lhs <= rhs if exact else lhs <= rhs * (1 + REL_TOL)
+    pd, sigma = _dominating_seminorm(form, p)
+
+    def side(x, c=(1, 1)):
+        (lows, D), (highs, E) = _weighted_terms(x, pd, R, k, c)
+        lo = Fraction(sum(lows.values()), D)
+        return lo, lo if highs is lows else Fraction(sum(highs.values()), E)
+
+    k = 0
+    while True:
+        named = constants(k)
+        lhs = side(result)
+        (al, ah), (bl, bh) = side(a, named["c"]), side(b, named["c"])
+        cl, ch = named.get("c_prime", (1, 1))
+        rhs = (cl * al * bl, ch * ah * bh)
+        ends = {"lhs": lhs, "rhs": rhs, **named}
+        spans = {n: v for n, v in ends.items() if isinstance(v, tuple)}
+        if exact and any(lo != hi for lo, hi in spans.values()):
+            raise DomainError("coefficient magnitude is irrational; exact seminorm unavailable")
+        shown = {**ends, **{n: _reported(*v) for n, v in spans.items()}}
+        if (lhs[1] <= rhs[0] or lhs[0] > rhs[1]) and None not in shown.values():
+            break
+        k = max(2 * k, 64)
+        if k > ESTIMATE_MAX_BITS:
+            raise RefusedPreconditionError(f"the estimate is open at {ESTIMATE_MAX_BITS} bits")
     return EstimateReport(
-        lhs,
-        rhs,
-        {**named, "sigma": sigma, "R": R},
-        bool(holds),
+        shown.pop("lhs"),
+        shown.pop("rhs"),
+        {**shown, "sigma": sigma, "R": R},
+        lhs[1] <= rhs[0],
         {**witness, "deg_a": a.max_degree(), "deg_b": b.max_degree()},
     )
+
+
+def _admit(a: Element, R: Fraction, exact, what: str):
+    """Refuse float operands, an R past the caps, and with ``exact`` a fractional R."""
+    if a.backend != "exact":
+        raise DomainError("the estimates are exact: the operands need exact coefficients")
+    if exact and R.denominator != 1:
+        raise DomainError(f"exact {what} estimate needs an integer R")
+    if (R > EXACT_ESTIMATE_MAX_R or R.numerator > ESTIMATE_MAX_R_NUMERATOR
+            or R.denominator > ESTIMATE_MAX_R_DENOMINATOR):
+        raise RefusedPreconditionError(
+            f"the estimates are limited to R = P/Q <= {EXACT_ESTIMATE_MAX_R}, P <= "
+            f"{ESTIMATE_MAX_R_NUMERATOR}, Q <= {ESTIMATE_MAX_R_DENOMINATOR}")
 
 
 def verify_product_estimate(
@@ -503,37 +506,31 @@ def verify_product_estimate(
 ) -> EstimateReport:
     """Check p_R(a * b) <= c' (cp)_R(a) (cp)_R(b) with the proof constants.
 
-    c = max(2|z|, 2, 2^R); c' is the convergent k-series of the matching
-    proof branch, evaluated as a partial sum (a lower bound, which only
-    strengthens the check).  Requires R >= 1/2; the estimate is not
-    claimed below that.  |z| is among the magnitudes that choose the path.
+    c = max(2|z|, 2, 2^R); c' is the convergent series sum_k x^k / k!^e of
+    the matching proof branch, summed to k = 40 (a lower bound, which only
+    strengthens the check).  Requires R >= 1/2; the estimate is not claimed
+    below that.
     """
     R = Fraction(R)
     if R < Fraction(1, 2):
         raise RefusedPreconditionError("the product estimate requires R >= 1/2")
-    if exact and R.denominator != 1:
-        raise DomainError("exact product estimate needs an integer R")
+    _admit(a, R, exact, "product")
     z = scalars.coerce(a.backend, z)
     prod = star(a, b, z, form)
-    exact = _takes_exact_path(exact, R, a, b, prod, form, z)
-    zmag = _coeff_abs(z, exact)
+    z2 = z.abs2()
+    # c' sums x^k / k!^e with x = y 4^(-R) and y^2 = y2
+    branch, y2, e = (("R>1", z2, 1) if R > 1 else ("R<=1,|z|<1", z2, 2 * R - 1) if z2 < 1
+                     else ("R<=1,|z|>=1", 1 / z2, 2 * R - 1))
 
-    def constants(r, two):
-        fact = math.factorial
-        if R > 1:
-            branch, term = "R>1", lambda k: zmag**k * two ** (-2 * r * k) / fact(k)
-        elif zmag < 1:
-            branch, term = "R<=1,|z|<1", lambda k: (
-                zmag**k * two ** (-2 * r * k) / fact(k) ** (2 * r - 1)
-            )
-        else:
-            branch, term = "R<=1,|z|>=1", lambda k: (
-                1 / (zmag**k * fact(k) ** (2 * r - 1) * two ** (2 * r * k))
-            )
-        # An exact R is an integer >= 1, so r = 1 in the R <= 1 branches, and
-        # in every branch the k-th term is x^k/k! with x = term(1)
-        c_prime = _exp_partial_sum(term(1)) if exact else _series_sum(term)
-        return {"c": max(2 * zmag, two, two**r), "c_prime": c_prime, "branch": branch}
+    def constants(k):
+        (zl, zh), (yl, yh) = (scalars.rational_root_bounds(v, 2, k) for v in (z2, y2))
+        two_R, four_R = (scalars.rational_root_bounds(Fraction(t**R.numerator), R.denominator, k)
+                         for t in (2, 4))
+        return {
+            "c": (max(2 * zl, Fraction(2), two_R[0]), max(2 * zh, Fraction(2), two_R[1])),
+            "c_prime": _c_prime(yl / four_R[1], yh / four_R[0], e, k),
+            "branch": branch,
+        }
 
     return _estimate_report(a, b, prod, form, p, R, exact, constants, {"z": repr(z)})
 
@@ -546,11 +543,14 @@ def verify_bracket_estimate(
     R = Fraction(R)
     if R < 0:
         raise DomainError("the bracket estimate requires R >= 0")
-    if exact and R.denominator != 1:
-        raise DomainError("exact bracket estimate needs an integer R")
+    _admit(a, R, exact, "bracket")
     br = poisson_bracket(a, b, form)
-    exact = _takes_exact_path(exact, R, a, b, br, form)
-    return _estimate_report(a, b, br, form, p, R, exact, lambda r, two: {"c": two ** (r + 1)}, {})
+    two_R1 = Fraction(2 ** (R.numerator + R.denominator))
+
+    def constants(k):
+        return {"c": scalars.rational_root_bounds(two_R1, R.denominator, k)}
+
+    return _estimate_report(a, b, br, form, p, R, exact, constants, {})
 
 
 # -- Koethe matrices and summability -------------------------------------

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from weylalg import scalars
@@ -281,6 +282,48 @@ def c_prime_oracle(zmag: Fraction, R: int) -> Fraction:
     else:
         terms = (zmag**k * two ** (-2 * r * k) / math.factorial(k) for k in range(41))
     return sum(terms, Fraction(0))
+
+
+def estimate_sides_oracle(a: Element, b: Element, result: Element, p, sigma, R, z=None):
+    """(lhs, rhs) of the product estimate (with z) or the bracket estimate
+    (without), as 61-digit (about 200-bit) Decimals.
+
+    A term-by-term route in decimal arithmetic: every coefficient's modulus
+    by ``Decimal.sqrt``, n!^R, 2^R, |z|^k and k!^(2R-1) by ``Decimal``
+    powers, and c' as the 41 terms of its proof branch, for the seminorm p
+    scaled by ``sigma``.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 61
+
+        def dec(q):
+            q = Fraction(q)
+            return Decimal(q.numerator) / Decimal(q.denominator)
+
+        r = dec(R)
+
+        def p_R(x: Element, scale):
+            total = Decimal(0)
+            for e, c in x.terms.items():
+                term = dec(c.abs2()).sqrt() * dec(math.factorial(sum(e))) ** r
+                for w, k in zip(p.weights, e):
+                    term *= (scale * dec(w)) ** k
+                total += term
+            return total
+
+        if z is None:
+            return p_R(result, dec(sigma)), p_R(a, 2 ** (r + 1) * dec(sigma)) * p_R(
+                b, 2 ** (r + 1) * dec(sigma)
+            )
+        zmag, four_r = dec(z.abs2()).sqrt(), 4**r
+        if R > 1:
+            terms = [zmag**k / four_r**k / math.factorial(k) for k in range(41)]
+        elif zmag < 1:
+            terms = [zmag**k / four_r**k / dec(math.factorial(k)) ** (2 * r - 1) for k in range(41)]
+        else:
+            terms = [1 / (zmag**k * dec(math.factorial(k)) ** (2 * r - 1) * four_r**k) for k in range(41)]
+        c = max(2 * zmag, Decimal(2), 2**r) * dec(sigma)
+        return p_R(result, dec(sigma)), sum(terms) * p_R(a, c) * p_R(b, c)
 
 
 def star_exp_oracle(w: Element, t, z, form, order):

@@ -2,7 +2,8 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Tolerances are pinned here: exact equality on the rational
-backend, 1e-9 relative for float-valued estimate checks.
+backend, 1e-9 relative for float-valued checks; the continuity estimates
+decide their verdicts in rationals and need none.
 """
 
 import math

@@ -31,7 +31,11 @@ from weylalg.jsonio import (
     seminorm_from_json,
 )
 from weylalg.randoms import default_basis, random_element, random_even_form
-from weylalg.seminorm_calculus import EXACT_ESTIMATE_MAX_R
+from weylalg.seminorm_calculus import (
+    ESTIMATE_MAX_R_DENOMINATOR,
+    ESTIMATE_MAX_R_NUMERATOR,
+    EXACT_ESTIMATE_MAX_R,
+)
 
 B = default_basis()
 
@@ -518,9 +522,9 @@ CONV_FEPS_DOC = {"series": {"kind": "f_eps", "N": 30, "eps": 0.25}, "R_grid": [0
 # sha256 of stdout + b"|" + stderr + b"|" + exit code of the other
 # subcommands, in every format they have, and of one failure per exit code
 # 2-4 (exit 1 is test_check_failure_output_is_byte_stable), recorded before
-# the series products moved onto packed numerator chains; the two float-path
-# product estimates and the R = 101/2 bracket rows were recorded before both
-# estimates shared one check.
+# the series products moved onto packed numerator chains; the three CSV rows
+# at R = 3/2 and 101/2 were recorded when the estimates checked every R as
+# rational enclosures.
 CLI_DIGESTS = [
     (["star"], STAR_DOC,
      "692922bc6f2afdb553cfa72d8065695674977d9cb7c2d474bddcbd0de45e81ec"),
@@ -539,16 +543,16 @@ CLI_DIGESTS = [
     (["verify", "product-estimate", "--trials", "3", "--R", "2", "--format", "csv"], None,
      "f773a04ba5f681e766a662f9456e7fcab8185ee371e6c122d30bd0bcef43a4d7"),
     (["verify", "product-estimate", "--R", "3/2", "--trials", "3", "--format", "csv"], None,
-     "f7f2ebc40632ec6cdf39e72815d6bbcf1e4d8a6d560b05b31f7b57f7f5177d97"),
+     "c70259b2d6b2624d7c18b600764467a87e8b9f263ca287565e6bce4f3bdc67ca"),
     (["verify", "product-estimate", "--R", "1/2", "--zmag", "3", "--trials", "3"], None,
      "5cd188da833d1e109b805d886078ef75c8cea71c514889a35630c9a94a0cae5f"),
     (["verify", "bracket-estimate", "--seed", "3", "--trials", "3"], None,
      "f2dc58e64526e3843b8729a1e367ba63e5e7026c3ca8e22c3ef44e93fb8ba762"),
     (["verify", "bracket-estimate", "--trials", "3", "--R", "3/2", "--format", "csv"], None,
-     "ad3b26a29cb404fca0fa7e767eae1c280358aff35a321b9e518ecbd7f60e6d7c"),
+     "ca9bae45dc826722d09fe2cbc1b25d9e577ef631f7f617bf273350398d7dfc7a"),
     # row 11 has lhs 0 and slack inf: a zero side is in binary64's range
     (["verify", "bracket-estimate", "--R", "101/2", "--trials", "12", "--format", "csv"], None,
-     "7924c5ecc5e22654a6d0b9e2974db6fc8d192cc387504967b553931c27f11a50"),
+     "3cc40557607f0919f3ec86d7ab09311247d2ff59c6c7825a8451f3acbeb051bd"),
     (["kothe", "--n-max", "12"], None,
      "381eafc7539c91a0d5838899b6d048b45ab7da95667584abfc1ee8623d17b6a3"),
     (["kothe", "--n-max", "12", "--mode", "nuclear", "--R", "3/2", "--eps", "1/4"], None,
@@ -736,14 +740,9 @@ def test_float_overflow_uses_log_space(capsys, monkeypatch):
             dict(STAR_DOC, a={"terms": [{"even": {"p": 5}}]}, b={"terms": [{"even": {"q": 5}}]},
                  z="1e-1000"),
         ),
-        # float-path estimates: an inf side, a Fraction weight or 2^R past
-        # binary64, and |z|^k inside c'
-        (["verify", "product-estimate", "--R", "161/2", "--trials", "20", "--format", "csv"], None),
-        (["verify", "product-estimate", "--R", "509/2", "--trials", "5"], None),
-        (["verify", "bracket-estimate", "--R", "507/2", "--trials", "5"], None),
+        # R = 2049/2 passes EXACT_ESTIMATE_MAX_R and ESTIMATE_MAX_R_NUMERATOR
         (["verify", "product-estimate", "--R", "2049/2"], None),
         (["verify", "bracket-estimate", "--R", "2049/2"], None),
-        (["verify", "product-estimate", "--R", "3/2", "--zmag", "1e200", "--trials", "2"], None),
     ],
     ids=[
         "exp-coefficient-subnormal",
@@ -758,18 +757,59 @@ def test_float_overflow_uses_log_space(capsys, monkeypatch):
         "kothe-exact-entry-past-int-str-limit-csv",
         "kothe-exact-entry-past-int-str-limit-json",
         "star-coefficient-past-int-str-limit",
-        "product-estimate-side-inf-csv",
-        "product-estimate-weight-past-binary64",
-        "bracket-estimate-weight-past-binary64",
         "product-estimate-2^R-past-binary64",
         "bracket-estimate-2^(R+1)-past-binary64",
-        "product-estimate-c-prime-past-binary64",
     ],
 )
 def test_values_beyond_binary64_are_refused(args, doc, capsys, monkeypatch):
     code, out, err = run_cli(args, json.dumps(doc) if doc else None, capsys, monkeypatch)
     assert code == 4 and out == ""
     assert err.startswith("refused: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "suite, flags",
+    [
+        ("product-estimate", ["--R", "509/2", "--trials", "5"]),
+        ("bracket-estimate", ["--R", "507/2", "--trials", "5"]),
+        ("product-estimate", ["--R", "3/2", "--zmag", "1e200", "--trials", "2"]),
+    ],
+    ids=["product-estimate-weight-past-binary64", "bracket-estimate-weight-past-binary64",
+         "product-estimate-c-prime-past-binary64"],
+)
+def test_estimates_beyond_binary64_answer(suite, flags, capsys, monkeypatch):
+    # their sides pass binary64, which the float path refused; the
+    # enclosures decide every trial
+    code, out, err = run_cli(["verify", suite, *flags], None, capsys, monkeypatch)
+    assert code == 0 and err == ""
+    assert json.loads(out) == {"suite": suite, "trials": int(flags[-1]), "failures": 0, "seed": 0}
+
+
+def test_estimate_csv_answers_with_a_float_and_an_exact_side(capsys, monkeypatch):
+    # at R = 161/2 an lhs within binary64 meets an rhs beyond it: the lhs
+    # prints as a float, the rhs and the slack, an exact quotient, to 17 digits
+    R = Fraction(161, 2)
+    args = ["verify", "product-estimate", "--R", "161/2", "--trials", "20", "--format", "csv"]
+    code, out, err = run_cli(args, None, capsys, monkeypatch)
+    assert code == 0 and err == ""
+    header, *rows = out.splitlines()
+    reports = []
+    suites.SUITES["product-estimate"](0, 20, collect=reports, R=R)
+    assert header == "index,lhs,rhs,slack,holds" and len(rows) == len(reports) == 20
+    wide = 0
+    for k, (row, rep) in enumerate(zip(rows, reports)):
+        index, lhs, rhs, slack, holds = row.split(",")
+        assert (index, holds) == (str(k), "1") and rep.holds
+        assert float(lhs) == float(rep.lhs)
+        if "e+" in rhs and int(rhs.split("e+")[1]) > 308:
+            wide += 1
+            assert abs(Fraction(rhs) - rep.rhs) <= rep.rhs / 10**16
+            if rep.lhs:
+                quotient = rep.rhs / Fraction(rep.lhs)
+                assert abs(Fraction(slack) - quotient) <= quotient / 10**15
+        else:
+            assert float(rhs) == float(rep.rhs)
+    assert wide > 0
 
 
 @pytest.mark.parametrize(
@@ -795,9 +835,7 @@ def test_estimate_csv_writes_exact_sides_beyond_binary64(suite, flags, kwargs, c
         assert abs(Fraction(text) - exact) <= Fraction(10) ** (int(exponent) - 16)
 
 
-@pytest.mark.parametrize(
-    "args", [["kothe", "--n-max", "x"], ["verify", "product-estimate", "--R", "-3/7"]]
-)
+@pytest.mark.parametrize("args", [["kothe", "--n-max", "x"], ["verify", "product-estimate", "--R"]])
 def test_usage_errors_are_one_input_error_line(args):
     src = Path(weylalg.__file__).resolve().parent.parent
     run = subprocess.run(
@@ -810,6 +848,15 @@ def test_usage_errors_are_one_input_error_line(args):
     assert run.returncode == 2 and run.stdout == ""
     assert run.stderr.startswith("input error: ") and run.stderr.count("\n") == 1
     assert "Traceback" not in run.stderr
+
+
+@pytest.mark.parametrize("value", ["-3/7", "-0.25", "-1e-3"])
+def test_negative_flag_values_reach_the_estimate(value, capsys, monkeypatch):
+    # a value that starts with a minus sign is read as the flag's value
+    args = ["verify", "product-estimate", "--R", value]
+    code, out, err = run_cli(args, None, capsys, monkeypatch)
+    assert code == 4 and out == ""
+    assert err == "refused: the product estimate requires R >= 1/2\n"
 
 
 def test_help_prints_usage_and_exits_0(capsys):
@@ -828,6 +875,8 @@ def test_help_prints_usage_and_exits_0(capsys):
         ["verify", "product-estimate", "--R", str(EXACT_ESTIMATE_MAX_R + 1), "--format", "csv"],
         ["peierls", "poisson-iso", "--T", "1000000000", "--N", "1000000000"],
         ["peierls", "weyl-gram", "--T", str(PEIERLS_MAX_SITES // 8 + 1), "--N", "8"],
+        ["verify", "product-estimate", "--R", f"{ESTIMATE_MAX_R_NUMERATOR + 1}/7"],
+        ["verify", "bracket-estimate", "--R", f"1/{ESTIMATE_MAX_R_DENOMINATOR + 1}"],
     ],
 )
 def test_work_beyond_the_caps_is_refused_at_once(args, capsys, monkeypatch):
@@ -839,13 +888,13 @@ def test_work_beyond_the_caps_is_refused_at_once(args, capsys, monkeypatch):
 
 
 def test_work_at_the_caps_runs(capsys, monkeypatch):
-    code, out, err = run_cli(
-        ["verify", "bracket-estimate", "--R", str(EXACT_ESTIMATE_MAX_R), "--trials", "1"],
-        None,
-        capsys,
-        monkeypatch,
-    )
-    assert code == 0 and err == ""
+    for suite, R in (
+        ("bracket-estimate", str(EXACT_ESTIMATE_MAX_R)),
+        ("product-estimate", f"{ESTIMATE_MAX_R_NUMERATOR}/3"),
+        ("bracket-estimate", f"1/{ESTIMATE_MAX_R_DENOMINATOR}"),
+    ):
+        code, out, err = run_cli(["verify", suite, "--R", R, "--trials", "1"], None, capsys, monkeypatch)
+        assert code == 0 and err == ""
     code, out, err = run_cli(
         ["peierls", "weyl-gram", "--T", str(PEIERLS_MAX_SITES // 8), "--N", "8"],
         None,

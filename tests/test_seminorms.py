@@ -24,15 +24,18 @@ from weylalg import (
     verify_product_estimate,
     wick_epsilon_norm,
 )
+from weylalg import seminorm_calculus
 from weylalg.bilinear_forms import TensorPair, p_lambda
-from weylalg.randoms import default_basis, random_element, random_even_form
+from weylalg.randoms import default_basis, random_element, random_even_form, random_rational
 from weylalg.seminorm_calculus import (
+    EstimateReport,
     _damped_value_in_log_space,
     _dominating_seminorm,
     _to_float_element,
 )
+from weylalg.star_algebra import poisson_bracket, star
 
-from oracles import c_prime_oracle, degree_terms_oracle
+from oracles import c_prime_oracle, degree_terms_oracle, estimate_sides_oracle
 
 B = default_basis()
 Q = Element.generator(B, "q")
@@ -75,7 +78,7 @@ def test_exact_seminorms_equal_the_per_term_definition():
                 B, {n: Fraction(rng.randint(1, 9), rng.randint(1, 7)) for n in B.names}
             )
         )
-    rescaled, sigma = _dominating_seminorm(big, seminorms[-1], True)
+    rescaled, sigma = _dominating_seminorm(big, seminorms[-1])
     assert sigma > 1 and sigma.denominator > 1
     seminorms.append(rescaled)
     for a in elements:
@@ -368,6 +371,69 @@ def test_exact_estimates_weigh_no_monomial_one_by_one(monkeypatch):
         assert isinstance(verify_product_estimate(a, b, 1, form, R, p).lhs, Fraction)
         assert isinstance(verify_bracket_estimate(a, b, form, R, p).lhs, Fraction)
     assert calls == []
+
+
+def test_fractional_R_sides_equal_a_200_bit_reference_rounded_once():
+    # a complex z gives the product irrational moduli, and R = 1/2, 3/4 and
+    # 3/2 irrational n!^R: each printed side, c and c' is the float nearest
+    # the 61-digit decimal reference, and each verdict is the reference's
+    rng = random.Random(41)
+    checked = 0
+    for k in range(60):
+        R = (Fraction(1, 2), Fraction(3, 4), Fraction(3, 2))[k % 3]
+        z = QC(random_rational(rng, 6), random_rational(rng, 6) or 1)
+        form = random_even_form(rng, B)
+        a = random_element(rng, B, max_degree=3, n_terms=3, complex_parts=bool(k % 2))
+        b = random_element(rng, B, max_degree=3, n_terms=3, complex_parts=bool(k % 2))
+        p = WeightedSeminorm(B, {n: Fraction(rng.randint(1, 4), rng.randint(1, 2)) for n in B.names})
+        for rep, result, zz in (
+            (verify_product_estimate(a, b, z, form, R, p), star(a, b, z, form), z),
+            (verify_bracket_estimate(a, b, form, R, p), poisson_bracket(a, b, form), None),
+        ):
+            lhs, rhs = estimate_sides_oracle(a, b, result, p, rep.constants["sigma"], R, zz)
+            assert (float(rep.lhs), float(rep.rhs)) == (float(lhs), float(rhs))
+            assert rep.holds == (lhs <= rhs)
+            checked += zz is not None and isinstance(rep.lhs, float)
+    assert checked >= 50
+
+
+def test_estimate_enclosures_refine_to_their_cap(monkeypatch):
+    # at R = 3/2 the k = 0 enclosures do not round to one float; with the
+    # cap at 0 bits the check is refused instead of refined
+    monkeypatch.setattr(seminorm_calculus, "ESTIMATE_MAX_BITS", 0)
+    with pytest.raises(RefusedPreconditionError, match="open at 0 bits"):
+        verify_bracket_estimate(Q * Q, P * P, DARBOUX, Fraction(3, 2), UNIT)
+    assert verify_bracket_estimate(Q * Q, P * P, DARBOUX, 2, UNIT).holds
+
+
+def test_estimates_take_one_path_whatever_exact_says():
+    a, b = Q.scale(QC(1, 1)), P * P
+    for estimate in ESTIMATES.values():
+        for exact in (None, False):
+            rep = estimate(a, b, DARBOUX, exact)
+            assert rep.holds and isinstance(rep.lhs, float)
+        with pytest.raises(DomainError, match="irrational"):
+            estimate(a, b, DARBOUX, True)
+    with pytest.raises(DomainError, match="needs an integer R"):
+        verify_bracket_estimate(a, b, DARBOUX, Fraction(3, 2), UNIT, exact=True)
+    # the estimates are exact: binary64 operands are refused, not approximated
+    qf, form = Element.generator(B, "q", "float"), BilinearForm.from_entries(B, {}, "float")
+    with pytest.raises(DomainError, match="the estimates are exact"):
+        verify_bracket_estimate(qf, qf, form, 1, UNIT)
+    with pytest.raises(DomainError, match="the estimates are exact"):
+        verify_product_estimate(qf, qf, 1, form, Fraction(3, 2), UNIT)
+
+
+def test_report_dict_writes_values_beyond_binary64_as_17_digits():
+    big = Fraction(10**400)
+    rep = EstimateReport(big, Fraction(1, 3), {"c": big, "branch": "R>1", "R": Fraction(3, 2)}, False)
+    assert rep.to_dict() == {
+        "lhs": "1.0000000000000000e+400",
+        "rhs": 1 / 3,
+        "constants": {"c": "1.0000000000000000e+400", "branch": "R>1", "R": 1.5},
+        "holds": False,
+        "witness": {},
+    }
 
 
 def test_bracket_estimate_examples():
