@@ -147,7 +147,8 @@ class QC:
         return QC._mk(self.re, -self.im)
 
     def abs2(self):
-        return self.re * self.re + self.im * self.im
+        re2 = self.re * self.re
+        return re2 + self.im * self.im if self.im else re2
 
     def __abs__(self) -> float:
         return math.hypot(float(self.re), float(self.im))
@@ -235,8 +236,11 @@ def _fraction_sqrt(q):
     """Exact square root of a nonnegative rational, or None."""
     if q < 0:
         return None
-    lo, hi = rational_root_bounds(q, 2)
-    return lo if lo == hi else None
+    n, d = q.numerator, q.denominator
+    rn, rd = math.isqrt(n), math.isqrt(d)
+    if rn * rn == n and rd * rd == d:
+        return Fraction(rn, rd)
+    return None
 
 
 def abs_exact(x):

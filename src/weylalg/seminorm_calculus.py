@@ -22,6 +22,7 @@ binary64.  Verifier grids are deterministic given a seed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
@@ -45,7 +46,7 @@ FLOAT_MIN = sys.float_info.min
 EXACT_ESTIMATE_MAX_R = 1000
 ESTIMATE_MAX_R_NUMERATOR = 2000
 ESTIMATE_MAX_R_DENOMINATOR = 100
-# The enclosures start at k = 0 bits and double from 64 up to this cap.
+# The enclosures start at k = 0 bits (64 for a fractional R) and double up to this cap.
 ESTIMATE_MAX_BITS = 4096
 
 
@@ -117,17 +118,16 @@ def _weighted_terms(a: Element, p: WeightedSeminorm, R: Fraction, k: int = 0, c=
                 m *= row[j]
         n = sum(e)
         lows[n] = lows.get(n, 0) + lo * m
-        if hi != lo:
+        if hi != lo:  # hi = lo + 1 for an irrational modulus
             gaps[n] = gaps.get(n, 0) + m
     highs = {n: s + gaps.get(n, 0) for n, s in lows.items()} if gaps else lows
     N = max(lows, default=0)
     P, Q = R.numerator, R.denominator
-    D = den << 2 * k if P >= 0 else (den << 2 * k) * math.factorial(N) ** -P
+    D = (den << 2 * k) * math.factorial(N) ** max(-P, 0)
     powers = {n: math.perm(N, N - n) ** -P if P < 0 else math.factorial(n) ** P for n in lows}
     facts = {n: scalars.root_bounds(x, Q, k) for n, x in powers.items()}
 
     def end(sums, c, i):
-        c = Fraction(c)
         u, Wv = c.numerator, W * c.denominator
         return {n: facts[n][i] * u**n * s * Wv ** (N - n) for n, s in sums.items()}, D * Wv**N
 
@@ -405,29 +405,32 @@ def _dominating_seminorm(form: BilinearForm, p: WeightedSeminorm):
     With gamma the largest |form(e_i, e_j)| / (p(e_i) p(e_j)), sigma starts
     at the binary64 root of gamma cut to a denominator of at most 10^9 (past
     binary64, at an integer root) and grows until sigma^4 >= gamma^2."""
-    gamma2 = max(
-        (form.matrix[i][j].abs2() / (p.weights[i] * p.weights[j]) ** 2 for i, j in form.pairs()),
-        default=0,
-    )
+    w2 = [w * w for w in p.weights]
+    gamma2 = max((form.matrix[i][j].abs2() / (w2[i] * w2[j]) for i, j in form.pairs()), default=0)
     if gamma2 <= 1:
         return p, Fraction(1)
+    n, d = gamma2.numerator, gamma2.denominator
     try:
-        gamma = scalars._fraction_sqrt(gamma2) or math.sqrt(gamma2)
-        sigma = Fraction(math.sqrt(gamma)).limit_denominator(10**9)
+        sigma = Fraction(math.sqrt(scalars._fraction_sqrt(gamma2) or math.sqrt(gamma2)))
     except OverflowError:
-        n, d = gamma2.numerator, gamma2.denominator
         sigma = Fraction(math.isqrt(math.isqrt(n * d**3)) + 1, d)
+    sigma = sigma.limit_denominator(10**9)
     while sigma**4 < gamma2:
         sigma *= Fraction(1048577, 1048576)
     return p.scaled(sigma), sigma
 
 
+@functools.lru_cache(maxsize=64)
+def _factorial_roots(P: int, Q: int, k: int):
+    """The lo ends, then the hi ends, of j!^(P/Q) 2^k for j <= 40 (``scalars.root_bounds``)."""
+    return tuple(zip(*(scalars.root_bounds(math.factorial(j) ** P, Q, k) for j in range(41))))
+
+
 def _c_prime(x_lo: Fraction, x_hi: Fraction, e: Fraction, k: int):
     """[lo, hi] around sum_{j <= 40} x^j / j!^e for x in [x_lo, x_hi]: it grows
-    with x and falls with j!^e, whose ends ``scalars.root_bounds`` gives
-    times 2^k.  With x = u/v and L the lcm of the divisors d_j, an end is
-    sum_j u^j v^(40-j) L/d_j over L v^40, by Horner's rule on integers."""
-    g = [scalars.root_bounds(math.factorial(j) ** e.numerator, e.denominator, k) for j in range(41)]
+    with x and falls with j!^e.  With x = u/v and L the lcm of the divisors
+    d_j, an end is sum_j u^j v^(40-j) L/d_j over L v^40, by Horner's rule."""
+    lows, highs = _factorial_roots(e.numerator, e.denominator, k)
 
     def end(x, divisors):
         u, v, L = x.numerator, x.denominator, math.lcm(*divisors)
@@ -437,10 +440,8 @@ def _c_prime(x_lo: Fraction, x_hi: Fraction, e: Fraction, k: int):
             vp *= v
         return Fraction(acc << k, L * vp // v)
 
-    lo = end(x_lo, [hi for _, hi in g])
-    if x_lo == x_hi and all(f == h for f, h in g):
-        return lo, lo
-    return lo, end(x_hi, [lo for lo, _ in g])
+    lo = end(x_lo, highs)
+    return lo, lo if x_lo == x_hi and lows == highs else end(x_hi, lows)
 
 
 def _estimate_report(a: Element, b: Element, result: Element, form: BilinearForm,
@@ -449,11 +450,10 @@ def _estimate_report(a: Element, b: Element, result: Element, form: BilinearForm
     """Check p_R(result) <= c' (c p_dom)_R(a) (c p_dom)_R(b), p_dom dominating the form.
 
     ``constants(k)`` names the enclosures of c and, unless it is 1, c' at k
-    bits; ``_weighted_terms`` gives those of the p_R.  From k = 0, k doubles
-    from 64 until hi(lhs) <= lo(rhs) (holds) or lo(lhs) > hi(rhs) (fails)
-    and every value prints as one number (``_reported``), refused past
-    ESTIMATE_MAX_BITS.  With ``exact`` a nonzero width is a DomainError.
-    """
+    bits.  From k = 0 (64 for a fractional R), k doubles until hi(lhs) <=
+    lo(rhs) (holds) or lo(lhs) > hi(rhs) (fails) and every value prints as
+    one number (``_reported``), refused past ESTIMATE_MAX_BITS; with
+    ``exact`` a nonzero width is a DomainError."""
     pd, sigma = _dominating_seminorm(form, p)
 
     def side(x, c=(1, 1)):
@@ -461,13 +461,15 @@ def _estimate_report(a: Element, b: Element, result: Element, form: BilinearForm
         lo = Fraction(sum(lows.values()), D)
         return lo, lo if highs is lows else Fraction(sum(highs.values()), E)
 
-    k = 0
+    k = 0 if R.denominator == 1 else 64
     while True:
+        if k > ESTIMATE_MAX_BITS:
+            raise RefusedPreconditionError(f"the estimate needs more than {ESTIMATE_MAX_BITS} bits")
         named = constants(k)
         lhs = side(result)
         (al, ah), (bl, bh) = side(a, named["c"]), side(b, named["c"])
         cl, ch = named.get("c_prime", (1, 1))
-        rhs = (cl * al * bl, ch * ah * bh)
+        rhs = (cl * al * bl,) * 2 if (cl, al, bl) == (ch, ah, bh) else (cl * al * bl, ch * ah * bh)
         ends = {"lhs": lhs, "rhs": rhs, **named}
         spans = {n: v for n, v in ends.items() if isinstance(v, tuple)}
         if exact and any(lo != hi for lo, hi in spans.values()):
@@ -476,8 +478,6 @@ def _estimate_report(a: Element, b: Element, result: Element, form: BilinearForm
         if (lhs[1] <= rhs[0] or lhs[0] > rhs[1]) and None not in shown.values():
             break
         k = max(2 * k, 64)
-        if k > ESTIMATE_MAX_BITS:
-            raise RefusedPreconditionError(f"the estimate is open at {ESTIMATE_MAX_BITS} bits")
     return EstimateReport(
         shown.pop("lhs"),
         shown.pop("rhs"),

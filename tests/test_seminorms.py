@@ -398,10 +398,19 @@ def test_fractional_R_sides_equal_a_200_bit_reference_rounded_once():
 
 
 def test_estimate_enclosures_refine_to_their_cap(monkeypatch):
-    # at R = 3/2 the k = 0 enclosures do not round to one float; with the
-    # cap at 0 bits the check is refused instead of refined
+    # |c| lies about 2^-160 above 1 + 2^-53, the midpoint between two
+    # doubles, so 2|c| = p_R({c q, p}) prints only once the enclosures
+    # pass 64 bits; rounded once it is the double above 2
+    D = 2**80
+    a = Q.scale(QC(Fraction(D + 2**27, D), Fraction(1, D)))
+    rep = verify_bracket_estimate(a, P, DARBOUX, 1, UNIT)
+    assert rep.holds and rep.lhs == 2 * (1 + 2**-52)
+    monkeypatch.setattr(seminorm_calculus, "ESTIMATE_MAX_BITS", 64)
+    with pytest.raises(RefusedPreconditionError, match="more than 64 bits"):
+        verify_bracket_estimate(a, P, DARBOUX, 1, UNIT)
+    # a fractional R starts at 64 bits, an integer R at 0
     monkeypatch.setattr(seminorm_calculus, "ESTIMATE_MAX_BITS", 0)
-    with pytest.raises(RefusedPreconditionError, match="open at 0 bits"):
+    with pytest.raises(RefusedPreconditionError, match="more than 0 bits"):
         verify_bracket_estimate(Q * Q, P * P, DARBOUX, Fraction(3, 2), UNIT)
     assert verify_bracket_estimate(Q * Q, P * P, DARBOUX, 2, UNIT).holds
 
