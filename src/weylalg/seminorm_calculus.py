@@ -40,9 +40,9 @@ from .star_algebra import poisson_bracket, star
 LOG_FLOAT_MAX = math.log(sys.float_info.max)
 FLOAT_MIN = sys.float_info.min
 # The estimates take Q-th roots of n!^P and 4^P for R = P/Q, and their time
-# grows faster than R (a product-estimate trial of `verify` takes about
-# 15 ms at R = 1000 and 1 s at R = 10000 with Python 3.11 on a 2-core
-# x86-64 host); an R past these caps is refused before any work.
+# grows faster than P (a product-estimate trial of `verify` takes about
+# 20 ms at R = 1000, 80 ms at R = 1999/2 and 1 s at R = 10000 with Python
+# 3.11 on a 2-core x86-64 host); an R past these caps is refused at once.
 EXACT_ESTIMATE_MAX_R = 1000
 ESTIMATE_MAX_R_NUMERATOR = 2000
 ESTIMATE_MAX_R_DENOMINATOR = 100
