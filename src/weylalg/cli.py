@@ -48,13 +48,16 @@ EXIT_REFUSED = 4
 # Largest window T*N that `peierls` accepts with a one-digit m2 such as 0,
 # 1/3 or 5/2.  poisson-iso pairs every margin delta with every other, so
 # its time grows with the square of the sites; at 1024 sites it ends in
-# about 35 s on a 2-core host.
+# 4-14 s on a 2-core host (32x32: 4.0 s with m2 = 0, 6.6-7.0 s with
+# m2 = 1/3; 256x4 with m2 = 1/3: 13.9 s).
 PEIERLS_MAX_SITES = 1024
 # The Green kernel's rows carry m2's denominator to the power T-3, so each
 # pairing also costs more with every digit d of m2's numerator and
 # denominator together: `peierls` accepts (T*N)^2 * d up to its value at
 # the site cap with d = 2.  The slowest admitted poisson-iso runs measured
-# took 38 s (26x27, m2 = 1/999) and 28 s (32x16, m2 = 1/9999999).
+# are long windows, whose kernel rows carry the largest powers: 31 s
+# (181x4, m2 = 1/999) and 34 s (128x4, m2 = 1/9999999), against 3.6 s
+# (26x27, m2 = 1/999) and 5.2 s (32x16, m2 = 1/9999999).
 PEIERLS_MAX_DIGIT_WORK = 2 * PEIERLS_MAX_SITES**2
 
 

@@ -16,6 +16,7 @@ from weylalg import (
     check_star_involution,
     graded_commutator,
 )
+from weylalg import peierls
 from weylalg.cli import main
 from weylalg.peierls import exact_rank, kernel_identification_report
 
@@ -433,11 +434,8 @@ def test_pairing_equals_the_plain_sum_over_the_window():
     assert st.pairing(three, g) != 0 and st.pairing(g, h) != 0
 
 
-@pytest.mark.parametrize("T, N", [(12, 8), (16, 12)])
-def test_propagator_builds_no_fraction_per_site(T, N, monkeypatch):
-    st = LatticeSpacetime(T, N, Fraction(1, 3))
-    st.propagator(LatticeSection.delta(1, 0))  # builds the Green kernel
-    delta = LatticeSection.delta(T // 2, N // 2)
+def fractions_built(monkeypatch, f, *args):
+    """(f(*args), the number of Fractions built while it ran)."""
     built = []
     new = Fraction.__new__
 
@@ -446,10 +444,48 @@ def test_propagator_builds_no_fraction_per_site(T, N, monkeypatch):
         return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-    g = st.propagator(delta)
-    monkeypatch.undo()
+    try:
+        return f(*args), len(built)
+    finally:
+        monkeypatch.undo()
+
+
+def eliminations(monkeypatch, f, *args):
+    """(f(*args), the number of calls of ``_eliminate`` while it ran)."""
+    calls = []
+    eliminate = peierls._eliminate
+
+    def counting_eliminate(M, cols):
+        calls.append(cols)
+        return eliminate(M, cols)
+
+    monkeypatch.setattr(peierls, "_eliminate", counting_eliminate)
+    try:
+        return f(*args), len(calls)
+    finally:
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("T, N", [(12, 8), (16, 12)])
+def test_propagator_builds_no_fraction_per_site(T, N, monkeypatch):
+    st = LatticeSpacetime(T, N, Fraction(1, 3))
+    st.propagator(LatticeSection.delta(1, 0))  # builds the Green kernel
+    delta = LatticeSection.delta(T // 2, N // 2)
+    g, built = fractions_built(monkeypatch, st.propagator, delta)
     assert len(g.support()) > T * N // 2
-    assert len(built) <= 2
+    assert built <= 2
+
+
+@pytest.mark.parametrize("m2", [Fraction(0), Fraction(1, 3), Fraction(5, 2)])
+def test_apply_D_builds_no_fraction_per_site(m2, monkeypatch):
+    st = LatticeSpacetime(16, 12, m2)
+    delta = LatticeSection.delta(8, 6, Fraction(-2, 7))
+    image, built = fractions_built(monkeypatch, st.apply_D, delta)
+    assert len(image.support()) == (5 if m2 else 4)
+    v = Fraction(-2, 7)
+    stencil = {(9, 6): v, (7, 6): v, (8, 5): -v, (8, 7): -v, (8, 6): m2 * v}
+    assert image == LatticeSection(stencil) and image.values == LatticeSection(stencil).values
+    assert built <= 2
 
 
 def test_numerator_sections_read_as_their_fraction_maps():
@@ -471,6 +507,12 @@ def test_numerator_sections_read_as_their_fraction_maps():
     assert not (unreduced - plain) and unreduced - plain == LatticeSection()
     assert unreduced.scale(Fraction(-3, 2)) == plain.scale(Fraction(-3, 2))
     assert unreduced.scale(0) == LatticeSection() and not unreduced.scale(0)
+    for value in (0, Fraction(3, 7), -2):
+        delta = LatticeSection.delta(5, 2, value)
+        ref = LatticeSection({(5, 2): value})
+        assert delta == ref and delta.values == ref.values and repr(delta) == repr(ref)
+        assert delta[(5, 2)] == value and type(delta[(5, 2)]) is Fraction
+    assert LatticeSection.delta(5, 2, 0).values == {} and not LatticeSection.delta(5, 2, 0)
 
 
 def test_exact_rank_is_invariant_under_transposition():
@@ -496,6 +538,47 @@ def test_exact_rank_is_invariant_under_transposition():
         else:
             M = [[rational() for _ in range(m)] for _ in range(n)]
         assert exact_rank(M) == exact_rank([list(col) for col in zip(*M)])
+
+
+def test_exact_rank_certifies_full_rank_without_elimination(monkeypatch):
+    rng = random.Random(23)
+    for trial in range(40):
+        n, m = rng.randint(1, 9), rng.randint(1, 9)
+        if trial % 2:
+            M = [[Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(m)] for _ in range(n)]
+        else:
+            M = [[rng.randint(-(2**70), 2**70) for _ in range(m)] for _ in range(n)]
+        full = len(peierls._eliminate(M, m))
+        assert full == min(n, m)  # seeded draws of full rank
+        rank, calls = eliminations(monkeypatch, exact_rank, M)
+        assert (rank, calls) == (full, 0)
+
+
+def test_exact_rank_falls_back_to_elimination_below_full_rank_mod_p(monkeypatch):
+    p = peierls._P
+    cases = [
+        # determinant p: rank 2 over Q, but 1 mod p
+        ([[1, 1], [1, 1 + p]], 2),
+        ([[Fraction(1, 3), 1], [Fraction(1, 3), Fraction(1 + p, 1)]], 2),
+        # rank 2 over Q in a 3 x 4 matrix: the third row is the sum of the others
+        ([[1, 2, 0, Fraction(1, 2)], [0, 3, -1, 4], [1, 5, -1, Fraction(9, 2)]], 2),
+        ([[0, 0], [0, 0], [0, 0]], 0),
+    ]
+    for M, rank in cases:
+        assert eliminations(monkeypatch, exact_rank, M) == (rank, 1)
+        assert eliminations(monkeypatch, exact_rank, [list(c) for c in zip(*M)]) == (rank, 1)
+
+
+def test_kernel_report_certifies_without_elimination(monkeypatch):
+    st = LatticeSpacetime(16, 12, Fraction(1, 3))
+    rep, calls = eliminations(monkeypatch, kernel_identification_report, st)
+    assert calls == 0
+    assert (rep["rho_rank"], rep["d_rank"], rep["kernel_dim"]) == (24, 144, 144)
+    assert rep["kernel_equals_image"]
+    # the slab system is solved by the exact elimination, once
+    phi = LatticeSection.delta(2, 3) + LatticeSection.delta(12, 7).scale(Fraction(-3, 5))
+    psi, calls = eliminations(monkeypatch, st.slab_representative, phi, 7)
+    assert calls == 1 and st.is_casimir(phi - psi)
 
 
 def test_covariant_weyl_generators():

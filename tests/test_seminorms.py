@@ -295,8 +295,9 @@ def test_product_estimate_grid_exact_integer_R():
 
 def test_product_estimate_takes_the_exact_path_only_where_it_can_answer():
     # with z = 3 + 4i the star product's coefficients are complex and most
-    # of their moduli irrational: the default takes the float path there,
-    # and the exact path where every modulus is rational (|z| = 5)
+    # of their moduli irrational: the default answers there with an
+    # enclosure of nonzero width, rounded once, and exactly where every
+    # modulus is rational (|z| = 5)
     rng = random.Random(5)
     paths = []
     for _ in range(20):
@@ -324,8 +325,9 @@ ESTIMATES = {
 @pytest.mark.parametrize("name", sorted(ESTIMATES))
 def test_estimates_on_complex_operands_take_the_exact_path_only_where_it_can_answer(name):
     # both estimates follow one rule: most complex coefficients have an
-    # irrational modulus, so the default answers on the float path, and
-    # (3 + 4i) q has modulus 5, so its estimate stays exact
+    # irrational modulus, so the default answers with an enclosure of
+    # nonzero width, rounded once, and (3 + 4i) q has modulus 5, so its
+    # estimate stays exact
     estimate = ESTIMATES[name]
     rep = estimate(Q.scale(QC(1, 1)), P * P, DARBOUX)
     assert rep.holds and isinstance(rep.lhs, float)
