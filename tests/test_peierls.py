@@ -479,10 +479,9 @@ def test_propagator_builds_no_fraction_per_site(T, N, monkeypatch):
 @pytest.mark.parametrize("m2", [Fraction(0), Fraction(1, 3), Fraction(5, 2)])
 def test_apply_D_builds_no_fraction_per_site(m2, monkeypatch):
     st = LatticeSpacetime(16, 12, m2)
-    delta = LatticeSection.delta(8, 6, Fraction(-2, 7))
-    image, built = fractions_built(monkeypatch, st.apply_D, delta)
-    assert len(image.support()) == (5 if m2 else 4)
     v = Fraction(-2, 7)
+    image, built = fractions_built(monkeypatch, st.apply_D, LatticeSection.delta(8, 6, v))
+    assert len(image.support()) == (5 if m2 else 4)
     stencil = {(9, 6): v, (7, 6): v, (8, 5): -v, (8, 7): -v, (8, 6): m2 * v}
     assert image == LatticeSection(stencil) and image.values == LatticeSection(stencil).values
     assert built <= 2
@@ -559,7 +558,7 @@ def test_exact_rank_falls_back_to_elimination_below_full_rank_mod_p(monkeypatch)
     cases = [
         # determinant p: rank 2 over Q, but 1 mod p
         ([[1, 1], [1, 1 + p]], 2),
-        ([[Fraction(1, 3), 1], [Fraction(1, 3), Fraction(1 + p, 1)]], 2),
+        ([[Fraction(1, 3), 1], [Fraction(1, 3), 1 + p]], 2),
         # rank 2 over Q in a 3 x 4 matrix: the third row is the sum of the others
         ([[1, 2, 0, Fraction(1, 2)], [0, 3, -1, 4], [1, 5, -1, Fraction(9, 2)]], 2),
         ([[0, 0], [0, 0], [0, 0]], 0),
