@@ -20,6 +20,7 @@ import re
 import sys
 
 from . import jsonio
+from .basis import GeneratorBasis
 from .errors import (
     DomainError,
     ParityBlockError,
@@ -30,14 +31,19 @@ from .errors import (
 from .graded_poly import Element
 from .jsonio import SchemaError
 from .peierls import LatticeSection, LatticeSpacetime, kernel_identification_report
-from .seminorm_calculus import WeightedSeminorm
+from .seminorm_calculus import (
+    WeightedSeminorm,
+    kothe_matrix,
+    nuclearity_diagnostic,
+    reports_to_csv,
+)
 from .series_engine import (
     convergence_diagnosis,
     divergence_witness_standard_ordered,
     exp_element,
     f_epsilon_series,
 )
-from .star_algebra import star
+from .star_algebra import check_star_involution, star
 from .suites import SUITES
 
 EXIT_OK = 0
@@ -259,8 +265,6 @@ def cmd_verify(args) -> int:
     if args.format == "csv":
         if not estimate_suite:
             raise SchemaError("--format", "csv output exists for estimate suites only")
-        from .seminorm_calculus import reports_to_csv
-
         collected = []
         report = suite(args.seed, args.trials, collect=collected, **kwargs)
         _write_output(args, reports_to_csv(collected))
@@ -272,9 +276,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_kothe(args) -> int:
-    from .seminorm_calculus import WeightedSeminorm, kothe_matrix, nuclearity_diagnostic
-    from .basis import GeneratorBasis
-
     R = jsonio.rational_from_json(args.R, "--R")
     eps = jsonio.rational_from_json(args.eps, "--eps")
     if eps <= 0 or args.n_max < 0:
@@ -520,8 +521,6 @@ def _peierls_weyl_gram(st, scale):
     ]
     form = st.covariant_weyl_generators(sections, scale)
     anti = form.is_graded_antisymmetric()
-    from .star_algebra import check_star_involution
-
     involution = check_star_involution(form, 1)
     return {
         "scenario": "weyl-gram",

@@ -16,17 +16,22 @@ pairing (see ``SIGMA_SIGN``).
 
 Sums run on integer numerators over one denominator
 (``scalars.numerators``), and a ``Fraction`` is built only for a value
-that is read.  The integer sums are three:
+that is read.  The integer sums are four:
 
+- One integer leapfrog, ``_leapfrog``.  With m2 = m/dm, each new slice
+  is dm*(u[x+1] + u[x-1]) - m*u[x] - dm^2*u_prev[x] over dm times the
+  denominator of the slice before it, so the second input slice is
+  handed in scaled by dm.  It builds the Green kernel and evolves
+  Cauchy data in both time directions (``solve_cauchy``).
 - Sparse kernel rows, one Green kernel per spacetime.  The wave operator
   commutes with the periodic space shifts and, inside the window, with
   time shifts, so the retarded Green operator of delta(t0, x0) at
   (t0+1+s, x) is the kernel entry ``K[s][(x - x0) mod N]`` and the
   advanced one at (t0-1-s, x) is the same entry.  The T-2 rows of ``K``
-  come from one leapfrog of a unit delta, built on first use, and keep
-  only their nonzero entries.  Every Green operator, the propagator and
-  the two-slice restriction are sums of shifted kernel rows, shifted and
-  summed in one place, ``_kernel_rows``.
+  come from the leapfrog of a unit delta, built on first use, and keep
+  only their nonzero entries over dm^(T-3).  Every Green operator, the
+  propagator and the two-slice restriction are sums of shifted kernel
+  rows, shifted and summed in one place, ``_kernel_rows``.
 - Integer pairings.  Each ``LatticeSection`` and each ``CauchyPair``
   keeps integer numerators over one positive denominator, so ``pairing``
   and ``lambda_sigma`` are one integer dot product and one division.  The
@@ -43,11 +48,11 @@ that is read.  The integer sums are three:
 
 The wave operator ``apply_D`` runs its stencil on numerators too: with
 m2 = m/dm the two time neighbours carry dm, the two space neighbours -dm
-and the site itself m, over the section's denominator times dm.
-
-``solve_cauchy`` keeps its leapfrog, since Cauchy evolution from two
-slices is a different problem; the test suite keeps a plain leapfrog of
-the Green operators as the reference the kernel is compared with.
+and the site itself m, over the section's denominator times dm.  The
+slab system of ``slab_representative`` is the integer restriction rows
+of the slab deltas, all over the kernel's denominator.  The test suite
+keeps a plain ``Fraction`` leapfrog of the Green operators as the
+reference the kernel is compared with.
 """
 
 from __future__ import annotations
@@ -237,37 +242,40 @@ class LatticeSpacetime:
                 out[key] = out.get(key, 0) + c * n
         return LatticeSection._from_numerators({k: n for k, n in out.items() if n}, u._den * dm)
 
-    def _forward_step(self, prev_row, cur_row, src_row):
-        N, m2 = self.N, self.m2
-        return [
-            src_row[x]
-            + cur_row[(x + 1) % N]
-            + cur_row[(x - 1) % N]
-            - prev_row[x]
-            - m2 * cur_row[x]
-            for x in range(N)
-        ]
+    def _leapfrog(self, prev, cur, steps):
+        """[cur, then ``steps`` slices more] of the homogeneous leapfrog, as
+        integer rows.
+
+        With m2 = m/dm and cur over dm times prev's denominator, each new
+        slice dm*(u[x+1] + u[x-1]) - m*u[x] - dm^2*u_prev[x] is over dm times
+        the denominator of the slice before it.
+        """
+        m, dm = self.m2.as_integer_ratio()
+        dm2 = dm * dm
+        rows = [cur]
+        for _ in range(steps):
+            right, left = cur[1:] + cur[:1], cur[-1:] + cur[:-1]
+            prev, cur = cur, [
+                dm * (a + b) - m * c - dm2 * p for a, b, c, p in zip(right, left, cur, prev)
+            ]
+            rows.append(cur)
+        return rows
 
     def _green_kernel(self):
         """(K, den): sparse rows K[0..T-3], each {x: nonzero int numerator}
         over den, of the retarded Green operator of delta(t0, 0) on slices
         t0+1, t0+2, ...
 
-        One leapfrog of a unit delta, built on first use.
+        One leapfrog of a unit delta, built on first use: row s is over
+        dm^s, and is padded to the last row's dm^(T-3).
         """
         if self._kernel is None:
-            zero = [Fraction(0)] * self.N
-            prev, cur = zero, self._forward_step(zero, zero, [Fraction(1)] + zero[1:])
-            rows = [cur]
-            for _ in range(self.T - 3):
-                prev, cur = cur, self._forward_step(prev, cur, zero)
-                rows.append(cur)
-            flat = {(s, x): v for s, row in enumerate(rows) for x, v in enumerate(row)}
-            den, (nums,) = scalars.numerators(flat)
-            K = [{} for _ in rows]
-            for (s, x), n in nums.items():
-                K[s][x] = n
-            self._kernel = (K, den)
+            dm = self.m2.denominator
+            steps = self.T - 3
+            rows = self._leapfrog([0] * self.N, [1] + [0] * (self.N - 1), steps)
+            pads = [dm ** (steps - s) for s in range(steps + 1)]
+            K = [{x: n * pad for x, n in enumerate(row) if n} for row, pad in zip(rows, pads)]
+            self._kernel = (K, dm**steps)
         return self._kernel
 
     def _kernel_rows(self, phi: LatticeSection, times, ret: int, adv: int):
@@ -324,17 +332,18 @@ class LatticeSpacetime:
             raise DomainError("data has the wrong number of sites")
         if not (0 <= t0 and t0 + 1 <= self.T - 1):
             raise WindowOverflowError("slice pair outside the window")
-        zero_src = [Fraction(0)] * self.N
-        rows = [None] * self.T
-        rows[t0] = list(data.u0)
-        rows[t0 + 1] = list(data.u1)
-        for t in range(t0 + 1, self.T - 1):
-            rows[t + 1] = self._forward_step(rows[t - 1], rows[t], zero_src)
-        for t in range(t0, 0, -1):
-            rows[t - 1] = self._forward_step(rows[t + 1], rows[t], zero_src)
-        return LatticeSection(
-            {(t, x): v for t, row in enumerate(rows) for x, v in enumerate(row)}
-        )
+        dm = self.m2.denominator
+        u0, u1 = data._num0, data._num1
+        # slices t0+1, t0+2, ... and t0, t0-1, ...: the k-th of each is over
+        # the data's denominator times dm^(k+1), and is padded to dm^top
+        ahead = self._leapfrog(u0, [dm * n for n in u1], self.T - 2 - t0)
+        behind = self._leapfrog(u1, [dm * n for n in u0], t0)
+        top = max(len(ahead), len(behind))
+        nums = {}
+        for t, row in enumerate(behind[::-1] + ahead):
+            pad = dm ** (top - (t0 + 1 - t if t <= t0 else t - t0))
+            nums.update(((t, x), n * pad) for x, n in enumerate(row) if n)
+        return LatticeSection._from_numerators(nums, data._den * dm**top)
 
     def rho_sigma(self, phi: LatticeSection, t0: int) -> CauchyPair:
         """Two-slice restriction of the propagated section at (t0, t0+1)."""
@@ -356,27 +365,17 @@ class LatticeSpacetime:
     def solution_basis(self, t0: int = 1):
         """2N solutions spanning all Cauchy data on slices (t0, t0+1)."""
         out = []
-        zero = [Fraction(0)] * self.N
         for slot in range(2):
             for x in range(self.N):
-                row = list(zero)
-                row[x] = Fraction(1)
-                data = CauchyPair(row, zero) if slot == 0 else CauchyPair(zero, row)
-                out.append(self.solve_cauchy(data, t0))
+                slices = [[0] * self.N, [0] * self.N]
+                slices[slot][x] = 1
+                out.append(self.solve_cauchy(CauchyPair._from_numerators(*slices, 1), t0))
         return out
 
     def is_casimir(self, phi: LatticeSection) -> bool:
         """True iff the propagated section vanishes, that is, iff phi pairs
         to zero with every solution."""
         return not self.propagator(phi)
-
-    def slab_matrix(self, t0: int):
-        """Matrix of rho_sigma on the basis of slab-site deltas."""
-        if t0 < 1 or t0 + 1 > self.T - 2:
-            raise WindowOverflowError("slab must respect the temporal margin")
-        sites = [(t, x) for t in (t0, t0 + 1) for x in range(self.N)]
-        pairs = [self.rho_sigma(LatticeSection.delta(*site), t0) for site in sites]
-        return [list(row) for row in zip(*(p.u0 + p.u1 for p in pairs))]
 
     def slab_representative(self, phi: LatticeSection, t0: int) -> LatticeSection:
         """A section on slices {t0, t0+1} with the same two-slice restriction.
@@ -387,19 +386,20 @@ class LatticeSpacetime:
         a bug.
         """
         self.check_margin(phi)
-        target_pair = self.rho_sigma(phi, t0)
-        target = list(target_pair.u0) + list(target_pair.u1)
-        M = self.slab_matrix(t0)
-        sol = _solve_exact(M, target)
+        if t0 < 1 or t0 + 1 > self.T - 2:
+            raise WindowOverflowError("slab must respect the temporal margin")
+        target = self.rho_sigma(phi, t0)
+        # the restrictions of the slab deltas are all over the kernel's
+        # denominator, and the target over that times phi's, so the integer
+        # system's solution is the slab's values times phi's denominator
+        sites = [(t, x) for t in (t0, t0 + 1) for x in range(self.N)]
+        cols = [self.rho_sigma(LatticeSection._from_numerators({site: 1}, 1), t0) for site in sites]
+        M = [list(row) for row in zip(*(p._num0 + p._num1 for p in cols))]
+        sol = _solve_exact(M, target._num0 + target._num1)
         if sol is None:
             raise AssertionError("slab system is singular; lattice bug")
-        out = {}
-        for i, v in enumerate(sol):
-            if v:
-                t = t0 if i < self.N else t0 + 1
-                x = i % self.N
-                out[(t, x)] = v
-        return LatticeSection(out)
+        den, (nums,) = scalars.numerators(dict(zip(sites, sol)))
+        return LatticeSection._from_numerators(nums, den * phi._den)
 
     # -- covariant Weyl generators ----------------------------------------
 

@@ -218,18 +218,14 @@ def f_epsilon_series(v: Element, eps, order: int = DEFAULT_ORDER) -> TruncatedSe
 def _component(v: Element, power, scale, lay) -> Element:
     """The Element scale * v^n from the packed (den, parts) of v^n.
 
-    On the exact backend the numerator parts of the scale multiply the
-    parts and its denominator the den, so each coefficient is built
-    once; on the float backend it is c * scale, as ``Element.scale``
-    rounds it.
+    The numerator parts of the scale multiply the parts and its
+    denominator the den, so each exact coefficient is built once; a float
+    coefficient is c * scale, as ``Element.scale`` rounds it, and one that
+    underflows to zero is not stored.
     """
     den, parts = power
-    if v.backend == "exact":
-        ds, sp = _scalar_parts(v.backend, scale)
-        return _from_parts(v, den * ds, _weighted([parts], [sp]), lay)
-    scale = scalars.coerce(v.backend, scale)
-    terms = {e: c * scale for e, c in parts[0].items()} if scale else {}
-    return _from_parts(v, 1, (terms,), lay)
+    ds, sp = _scalar_parts(v.backend, scale)
+    return _from_parts(v, den * ds, _weighted([parts], [sp]), lay)
 
 
 def _require_degree_one(v: Element):

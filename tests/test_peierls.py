@@ -183,13 +183,13 @@ def test_kernel_is_built_once_per_spacetime(monkeypatch):
     # rho_sigma and the propagator read one shared Green kernel: the number
     # of leapfrog steps does not grow with the number of sources
     steps = []
-    step = LatticeSpacetime._forward_step
+    leapfrog = LatticeSpacetime._leapfrog
 
-    def counting_step(self, *args):
-        steps.append(self)
-        return step(self, *args)
+    def counting_leapfrog(self, prev, cur, n):
+        steps.extend([self] * n)
+        return leapfrog(self, prev, cur, n)
 
-    monkeypatch.setattr(LatticeSpacetime, "_forward_step", counting_step)
+    monkeypatch.setattr(LatticeSpacetime, "_leapfrog", counting_leapfrog)
     for m2 in (0, Fraction(1, 3)):
         st = LatticeSpacetime(12, 8, m2)
         t0 = (st.T - 1) // 2
@@ -474,6 +474,24 @@ def test_propagator_builds_no_fraction_per_site(T, N, monkeypatch):
     g, built = fractions_built(monkeypatch, st.propagator, delta)
     assert len(g.support()) > T * N // 2
     assert built <= 2
+
+
+@pytest.mark.parametrize("T, N", [(12, 8), (16, 12)])
+def test_lattice_solvers_build_no_fraction_per_site(T, N, monkeypatch):
+    st = LatticeSpacetime(T, N, Fraction(1, 3))
+    t0 = (T - 1) // 2
+    delta = LatticeSection.delta(T // 2, N // 2)
+    # a fresh Green kernel and one propagator
+    g, built = fractions_built(monkeypatch, st.propagator, delta)
+    assert len(g.support()) > T * N // 2
+    assert built <= 2
+    pair = st.rho_sigma(delta, t0)
+    u, built = fractions_built(monkeypatch, st.solve_cauchy, pair, t0)
+    assert u == g and built <= 2
+    phi = LatticeSection.delta(2, 1) + LatticeSection.delta(T - 3, 0).scale(Fraction(-3, 5))
+    psi, built = fractions_built(monkeypatch, st.slab_representative, phi, t0)
+    assert st.is_casimir(phi - psi) and {t for t, _ in psi.support()} <= {t0, t0 + 1}
+    assert built <= 6 * N
 
 
 @pytest.mark.parametrize("m2", [Fraction(0), Fraction(1, 3), Fraction(5, 2)])
